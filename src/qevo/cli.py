@@ -2,8 +2,8 @@
 
 Every run is deterministic under a fixed --seed; report files contain no
 timestamps, paths, or environment details, so identical configs produce
-byte-identical artifacts regardless of evaluation thread count
-(QEVO_THREADS). Exit codes: 0 success, 1 domain error, 2 usage/IO error.
+byte-identical artifacts. QEVO_THREADS is still validated but has no effect.
+Exit codes: 0 success, 1 domain error, 2 usage/IO error.
 """
 
 from __future__ import annotations
@@ -124,6 +124,7 @@ class RunConfig:
             raise InputError("train_frac must be in (0, 1)")
         if self.pi_minutes < 1:
             raise InputError("pi_minutes must be >= 1")
+        _thread_cap()
         return evolve.TrainingConfig(
             population_size=self.population,
             generations=self.generations,
@@ -132,11 +133,12 @@ class RunConfig:
             depth_range=(self.depth_min, self.depth_max),
             seed=self.seed if seed is None else seed,
             mode=evolve.TrainingMode(mode or self.mode),
-            threads=_thread_cap(),
         )
 
 
-def _thread_cap() -> int:
+def _thread_cap() -> None:
+    """Reject a malformed QEVO_THREADS. The value itself no longer reaches
+    training: every evaluation runs in one loop."""
     raw = os.environ.get("QEVO_THREADS", "1")
     try:
         threads = int(raw)
@@ -144,7 +146,6 @@ def _thread_cap() -> int:
         raise InputError(f"QEVO_THREADS must be an integer, got {raw!r}")
     if threads < 1:
         raise InputError(f"QEVO_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 def load_config_file(path: str | Path) -> dict:

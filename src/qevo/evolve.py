@@ -9,17 +9,17 @@ worse). Success/failure counters per strategy re-derive the selection
 probabilities at the end of every generation.
 
 Determinism: every random draw for candidate i in generation g comes from a
-stream seeded by (seed, g, i), so results are bit-identical no matter how
-many evaluation threads run.
+stream seeded by (seed, g, i), so a candidate's step depends on nothing but
+the generation it starts from, and results are bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import base64
 import enum
+import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,7 +102,6 @@ class TrainingConfig:
     initial_probabilities: tuple[float, float, float] = (0.33, 0.33, 0.34)
     seed: int = 0
     mode: TrainingMode = TrainingMode.FULL
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "mode", TrainingMode(self.mode))
@@ -122,8 +121,6 @@ class TrainingConfig:
             raise ValueError("initial probabilities must be a 3-simplex")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -230,8 +227,11 @@ def update_probabilities(state: StrategyState) -> StrategyState:
     return StrategyState(probs=(t1, t2, t3))
 
 
-def _block_table(genome: NetworkGenome) -> dict[tuple[int, str], slice]:
-    return {(t, kind): sl for t, kind, sl in layout(genome.architecture).blocks()}
+@functools.lru_cache(maxsize=4096)
+def _block_spans(arch: Architecture) -> dict[tuple[int, str], tuple[int, int]]:
+    """(transition, kind) -> (start, length) of every block, cached per
+    architecture like `layout`; the dict is shared, so callers only read it."""
+    return {(t, kind): (sl.start, sl.stop - sl.start) for t, kind, sl in layout(arch).blocks()}
 
 
 def _combine_blockwise(
@@ -244,25 +244,23 @@ def _combine_blockwise(
     on the overlapping prefix shared by every participant, and positions any
     donor lacks keep the base entry.
     """
-    tables = {id(g): _block_table(g) for _, a, b in terms for g in (a, b)}
+    donors = [
+        (coeff, a.phases, _block_spans(a.architecture), b.phases, _block_spans(b.architecture))
+        for coeff, a, b in terms
+    ]
     out = base.phases.copy()
-    for t, kind, sl in layout(base.architecture).blocks():
-        max_len = sl.stop - sl.start
-        for _, a, b in terms:
-            for g in (a, b):
-                other = tables[id(g)].get((t, kind))
-                max_len = 0 if other is None else min(max_len, other.stop - other.start)
-        if max_len == 0:
+    for key, (start, length) in _block_spans(base.architecture).items():
+        for _, _, spans_a, _, spans_b in donors:
+            if key not in spans_a or key not in spans_b:
+                length = 0
+                break
+            length = min(length, spans_a[key][1], spans_b[key][1])
+        if length == 0:
             continue
-        value = base.phases[sl.start : sl.start + max_len].copy()
-        for coeff, a, b in terms:
-            sa = tables[id(a)][(t, kind)]
-            sb = tables[id(b)][(t, kind)]
-            value += coeff * (
-                a.phases[sa.start : sa.start + max_len]
-                - b.phases[sb.start : sb.start + max_len]
-            )
-        out[sl.start : sl.start + max_len] = value
+        value = out[start : start + length]  # a view: summed in place
+        for coeff, phases_a, spans_a, phases_b, spans_b in donors:
+            sa, sb = spans_a[key][0], spans_b[key][0]
+            value += coeff * (phases_a[sa : sa + length] - phases_b[sb : sb + length])
     return out
 
 
@@ -297,12 +295,14 @@ def modulate(
     return NetworkGenome(base.architecture, _combine_blockwise(base, terms))
 
 
-def _fit_vector(vec: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
-    """Truncate or random-pad a transferred phase vector to a new length."""
-    if vec.shape[0] >= length:
-        return vec[:length]
-    pad = rng.uniform(-HALF_PI, HALF_PI, length - vec.shape[0])
-    return np.concatenate([vec, pad])
+def _fit_rows(rows: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
+    """Truncate or random-pad every transferred row to a new length; pads are
+    drawn row after row."""
+    short = length - rows.shape[1]
+    if short <= 0:
+        return rows[:, :length]
+    pad = rng.uniform(-HALF_PI, HALF_PI, (rows.shape[0], short))
+    return np.concatenate([rows, pad], axis=1)
 
 
 def _splice(
@@ -326,45 +326,38 @@ def _splice(
     lay_d = layout(d_arch)
     phases = np.empty(lay_c.total_length)
 
+    # Everything before the level's incoming weights, and everything after its
+    # outgoing weights (the next layer's bias/reversal blocks onward), is
+    # copied from the primary parent, at the same offsets counted from the
+    # front and from the back.
     t_in, t_out = level - 1, level
-    for t, seg in enumerate(lay_c.transitions):
-        if t in (t_in, t_out):
-            continue
-        p_seg = lay_p.transitions[t]
-        phases[seg.weight_slice] = primary.phases[p_seg.weight_slice]
-        if seg.has_bias:
-            phases[seg.bias_slice] = primary.phases[p_seg.bias_slice]
-        phases[seg.rev_slice] = primary.phases[p_seg.rev_slice]
+    head = lay_c.transitions[t_in].weight_start
+    phases[:head] = primary.phases[:head]
+    tail = lay_c.total_length - lay_c.transitions[t_out].weight_slice.stop
+    phases[lay_c.total_length - tail :] = primary.phases[lay_p.total_length - tail :]
 
-    # Incoming transition: columns are the level's neurons.
+    # Incoming transition: columns are the level's neurons. `w` is a view, so
+    # the weights are written straight into the child's phases.
     seg, p_seg, d_seg = (lay.transitions[t_in] for lay in (lay_c, lay_p, lay_d))
-    w = np.empty((seg.w_in, seg.w_out))
+    w = phases[seg.weight_slice].reshape(seg.w_in, seg.w_out)
     wp = primary.phases[p_seg.weight_slice].reshape(p_seg.w_in, p_seg.w_out)
     wd = donor.phases[d_seg.weight_slice].reshape(d_seg.w_in, d_seg.w_out)
     w[:, :keep] = wp[:, :keep]
-    for j in range(donor_cut, d_seg.w_out):
-        w[:, keep + j - donor_cut] = _fit_vector(wd[:, j], seg.w_in, rng)
-    phases[seg.weight_slice] = w.ravel()
-    phases[seg.bias_slice] = np.concatenate(
-        [primary.phases[p_seg.bias_slice][:keep], donor.phases[d_seg.bias_slice][donor_cut:]]
-    )
-    phases[seg.rev_slice] = np.concatenate(
-        [primary.phases[p_seg.rev_slice][:keep], donor.phases[d_seg.rev_slice][donor_cut:]]
-    )
+    w[:, keep:] = _fit_rows(wd[:, donor_cut:].T, seg.w_in, rng).T
+    for c0, p0, d0 in (
+        (seg.bias_start, p_seg.bias_start, d_seg.bias_start),
+        (seg.rev_start, p_seg.rev_start, d_seg.rev_start),
+    ):
+        phases[c0 : c0 + keep] = primary.phases[p0 : p0 + keep]
+        phases[c0 + keep : c0 + seg.w_out] = donor.phases[d0 + donor_cut : d0 + d_seg.w_out]
 
-    # Outgoing transition: rows are the level's neurons; the destination
-    # layer's own bias/reversal blocks stay with the primary parent.
+    # Outgoing transition: rows are the level's neurons.
     seg, p_seg, d_seg = (lay.transitions[t_out] for lay in (lay_c, lay_p, lay_d))
-    w = np.empty((seg.w_in, seg.w_out))
+    w = phases[seg.weight_slice].reshape(seg.w_in, seg.w_out)
     wp = primary.phases[p_seg.weight_slice].reshape(p_seg.w_in, p_seg.w_out)
     wd = donor.phases[d_seg.weight_slice].reshape(d_seg.w_in, d_seg.w_out)
     w[:keep, :] = wp[:keep, :]
-    for j in range(donor_cut, d_seg.w_in):
-        w[keep + j - donor_cut, :] = _fit_vector(wd[j, :], seg.w_out, rng)
-    phases[seg.weight_slice] = w.ravel()
-    if seg.has_bias:
-        phases[seg.bias_slice] = primary.phases[p_seg.bias_slice]
-    phases[seg.rev_slice] = primary.phases[p_seg.rev_slice]
+    w[keep:, :] = _fit_rows(wd[donor_cut:, :], seg.w_out, rng)
 
     return NetworkGenome(child_arch, phases)
 
@@ -434,29 +427,7 @@ def _shared_architecture(config: TrainingConfig) -> Architecture:
     return _sample_architecture(config, rng)
 
 
-class _Evaluator:
-    """Runs candidate evaluations, optionally on a thread pool.
-
-    Results are collected in submission order, so thread count never affects
-    the outcome.
-    """
-
-    def __init__(self, threads: int):
-        self._pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-    def map(self, fn, items):
-        if self._pool is None:
-            return [fn(item) for item in items]
-        return list(self._pool.map(fn, items))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-
-
-def init_population(
-    config: TrainingConfig, fitness_fn, evaluator: _Evaluator | None = None
-) -> tuple[Population, int]:
+def init_population(config: TrainingConfig, fitness_fn) -> tuple[Population, int]:
     """Generation-0 population: sampled architectures (one shared architecture
     in the fixed modes), random genomes, fitness evaluated."""
     shared = None
@@ -469,13 +440,7 @@ def init_population(
         return network.random_genome(arch, rng)
 
     candidates = [build(i) for i in range(config.population_size)]
-    owns = evaluator is None
-    evaluator = evaluator or _Evaluator(config.threads)
-    try:
-        results = evaluator.map(lambda g: _eval(fitness_fn, g), candidates)
-    finally:
-        if owns:
-            evaluator.close()
+    results = [_eval(fitness_fn, g) for g in candidates]
     fitness = np.array([fit for fit, _ in results])
     degenerate = sum(deg for _, deg in results)
     return (
@@ -610,78 +575,71 @@ def train(
             raise ValueError("provide train_data or an explicit fitness_fn")
         fitness_fn = DatasetFitness(train_data)
 
-    evaluator = _Evaluator(config.threads)
-    try:
-        if resume is not None:
-            if resume.seed != config.seed or resume.mode != config.mode.value:
-                raise CheckpointFormatError(
-                    "checkpoint seed/mode do not match the training config"
-                )
-            population = resume.population
-            state = resume.state
-            trajectory = list(resume.fitness_trajectory)
-            prob_trajectory = list(resume.probability_trajectory)
-            success_totals = dict(resume.success_totals)
-            degenerate = resume.degenerate_args
-            start_gen = resume.next_generation
+    if resume is not None:
+        if resume.seed != config.seed or resume.mode != config.mode.value:
+            raise CheckpointFormatError(
+                "checkpoint seed/mode do not match the training config"
+            )
+        population = resume.population
+        state = resume.state
+        trajectory = list(resume.fitness_trajectory)
+        prob_trajectory = list(resume.probability_trajectory)
+        success_totals = dict(resume.success_totals)
+        degenerate = resume.degenerate_args
+        start_gen = resume.next_generation
+    else:
+        population, degenerate = init_population(config, fitness_fn)
+        state = StrategyState(probs=tuple(config.initial_probabilities))
+        trajectory = [population.best_fitness]
+        prob_trajectory = []
+        success_totals = {s.value: 0 for s in STRATEGIES}
+        start_gen = 1
+
+    for gen in range(start_gen, config.generations + 1):
+        if config.mode is TrainingMode.FIXED_ALL:
+            trajectory.append(population.best_fitness)
+            population.generation = gen
         else:
-            population, degenerate = init_population(config, fitness_fn, evaluator)
-            state = StrategyState(probs=tuple(config.initial_probabilities))
-            trajectory = [population.best_fitness]
-            prob_trajectory = []
-            success_totals = {s.value: 0 for s in STRATEGIES}
-            start_gen = 1
+            candidates = []
+            fitness = np.empty(config.population_size)
+            for i in range(config.population_size):
+                genome, fit, strategy, succeeded, deg = _step_candidate(
+                    config, gen, i, population, population.best, state, fitness_fn
+                )
+                candidates.append(genome)
+                fitness[i] = fit
+                degenerate += deg
+                k = STRATEGIES.index(strategy)
+                if succeeded:
+                    state.successes[k] += 1
+                    success_totals[strategy.value] += 1
+                else:
+                    state.failures[k] += 1
+            population = Population(
+                candidates=candidates,
+                fitness=fitness,
+                best_index=int(np.argmin(fitness)),
+                generation=gen,
+            )
+            state = update_probabilities(state)
+            prob_trajectory.append(state.probs)
+            trajectory.append(population.best_fitness)
 
-        for gen in range(start_gen, config.generations + 1):
-            if config.mode is TrainingMode.FIXED_ALL:
-                trajectory.append(population.best_fitness)
-                population.generation = gen
-            else:
-                results = evaluator.map(
-                    lambda i: _step_candidate(
-                        config, gen, i, population, population.best, state, fitness_fn
-                    ),
-                    range(config.population_size),
-                )
-                candidates = []
-                fitness = np.empty(config.population_size)
-                for i, (genome, fit, strategy, succeeded, deg) in enumerate(results):
-                    candidates.append(genome)
-                    fitness[i] = fit
-                    degenerate += deg
-                    k = STRATEGIES.index(strategy)
-                    if succeeded:
-                        state.successes[k] += 1
-                        success_totals[strategy.value] += 1
-                    else:
-                        state.failures[k] += 1
-                population = Population(
-                    candidates=candidates,
-                    fitness=fitness,
-                    best_index=int(np.argmin(fitness)),
-                    generation=gen,
-                )
-                state = update_probabilities(state)
-                prob_trajectory.append(state.probs)
-                trajectory.append(population.best_fitness)
-
-            if checkpoint_dir is not None:
-                save_checkpoint(
-                    Checkpoint(
-                        seed=config.seed,
-                        mode=config.mode.value,
-                        next_generation=gen + 1,
-                        state=state,
-                        population=population,
-                        fitness_trajectory=trajectory,
-                        probability_trajectory=prob_trajectory,
-                        success_totals=success_totals,
-                        degenerate_args=degenerate,
-                    ),
-                    Path(checkpoint_dir) / f"checkpoint_gen{gen:04d}.json",
-                )
-    finally:
-        evaluator.close()
+        if checkpoint_dir is not None:
+            save_checkpoint(
+                Checkpoint(
+                    seed=config.seed,
+                    mode=config.mode.value,
+                    next_generation=gen + 1,
+                    state=state,
+                    population=population,
+                    fitness_trajectory=trajectory,
+                    probability_trajectory=prob_trajectory,
+                    success_totals=success_totals,
+                    degenerate_args=degenerate,
+                ),
+                Path(checkpoint_dir) / f"checkpoint_gen{gen:04d}.json",
+            )
 
     report = TrainingReport(
         mode=config.mode.value,

@@ -7,6 +7,18 @@ an activated bias (hidden layers only), and re-rotate via a sigmoid-gated
 reversal parameter: psi = (pi/2)*sigmoid(rho) - arg(U). The output qubit is
 observed as sin(psi)^2, which lands in [0, 1] like the normalized targets.
 
+`forward_states` evaluates the same map without per-row trigonometry. With
+the gate phase g = exp(i*(pi/2)*sigmoid(rho)), the next state is
+
+    exp(i*psi) = g * conj(U) / |U|
+
+and the output is Im(g * conj(U) / |U|)^2, so the only transcendental left
+is one complex exp per genome over its weights, biases and gates. A zero
+sum U == 0 has no argument: it is taken as arg 0, so the state becomes the
+gate phase g itself, and `ForwardDiagnostics.degenerate_args` counts it.
+`neuron_aggregate` and `reverse_rotate` keep the literal per-neuron form as
+the reference the tests compare against.
+
 Genome layout, per transition between layer widths (w_in -> w_out):
 weight block of w_in*w_out phases stored source-major (W[i, j] connects
 source i to destination j), then for hidden destinations a bias block and a
@@ -245,33 +257,61 @@ def input_states(rows: np.ndarray) -> np.ndarray:
     return activate(encode_input(rows))
 
 
+@functools.lru_cache(maxsize=4096)
+def _reversal_index(arch: Architecture) -> np.ndarray:
+    """Positions of every reversal entry in the flat phase vector (read-only)."""
+    index = np.concatenate(
+        [np.arange(seg.rev_start, seg.end) for seg in layout(arch).transitions]
+    )
+    index.setflags(write=False)
+    return index
+
+
+def _phasors(genome: NetworkGenome) -> np.ndarray:
+    """exp(i*theta) of every genome entry, reversal entries replaced by their
+    gate angle (pi/2)*sigmoid(rho): the genome's only transcendentals."""
+    rev = _reversal_index(genome.architecture)
+    angles = genome.phases.copy()
+    angles[rev] = HALF_PI * sigmoid(angles[rev])
+    return np.exp(1j * angles)
+
+
 def forward_states(
     genome: NetworkGenome,
     states: np.ndarray,
     diag: ForwardDiagnostics | None = None,
 ) -> np.ndarray:
-    """Run the network over pre-activated input states; one prediction per row."""
+    """Run the network over pre-activated input states; one prediction per row.
+
+    `states` is only read, so one input-state array can serve every genome.
+    """
     arch = genome.architecture
     if states.shape[1] != arch.input_width:
         raise DimensionMismatchError(
             f"row width {states.shape[1]} != network input width {arch.input_width}"
         )
     transitions = layout(arch).transitions
+    phasor = _phasors(genome)
     y = states
-    psi = None
-    for t, seg in enumerate(transitions):
-        w = activate(genome.phases[seg.weight_slice]).reshape(seg.w_in, seg.w_out)
-        u = y @ w
+    for seg in transitions:
+        u = y @ phasor[seg.weight_slice].reshape(seg.w_in, seg.w_out)
         if seg.has_bias:
-            u = u - activate(genome.phases[seg.bias_slice])[None, :]
-        if diag is not None:
-            diag.degenerate_args += int(
-                np.count_nonzero((u.real == 0.0) & (u.imag == 0.0))
-            )
-        psi = HALF_PI * sigmoid(genome.phases[seg.rev_slice])[None, :] - np.angle(u)
-        if t < len(transitions) - 1:
-            y = activate(psi)
-    return np.square(np.sin(psi[:, 0]))
+            u -= phasor[seg.bias_slice]
+        mag = np.abs(u)
+        if not mag.all():
+            zero = mag == 0.0
+            if diag is not None:
+                diag.degenerate_args += int(np.count_nonzero(zero))
+            u[zero] = 1.0  # arg 0: the state becomes the gate phase
+            mag[zero] = 1.0
+        gate = phasor[seg.rev_slice]
+        if not seg.has_bias:  # the output transition, always the last
+            break
+        y = np.conjugate(u, out=u)
+        y *= gate
+        y *= np.reciprocal(mag, out=mag)
+    im = gate.imag * u.real[:, 0] - gate.real * u.imag[:, 0]
+    return np.square(im / mag[:, 0])
 
 
 def forward_batch(

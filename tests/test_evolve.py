@@ -351,13 +351,6 @@ def test_train_zero_generations():
     assert report.best_fitness == report.fitness_trajectory[0]
 
 
-def test_train_thread_count_does_not_change_results():
-    data = tiny_dataset()
-    _, report1 = train(tiny_config(threads=1), data)
-    _, report4 = train(tiny_config(threads=4), data)
-    assert report1.to_dict() == report4.to_dict()
-
-
 def test_train_fixed_arch_mode_keeps_architectures(tmp_path):
     data = tiny_dataset()
     cfg = tiny_config(mode=TrainingMode.FIXED_ARCH)

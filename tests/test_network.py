@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qevo import network
+from qevo import network, testkit
 from qevo.errors import DimensionMismatchError, GenomeFormatError
 from qevo.network import (
     Architecture,
@@ -14,6 +16,8 @@ from qevo.network import (
     encode_input,
     forward,
     forward_batch,
+    forward_states,
+    input_states,
     layout,
     neuron_aggregate,
     qubit_vector_magnitude,
@@ -209,6 +213,99 @@ def test_forward_batch_counts_degenerates():
     diag = ForwardDiagnostics()
     forward_batch(g, rows, diag)
     assert diag.degenerate_args == 7
+
+
+def _check_against_oracle(genome, rows):
+    """forward_states over `rows` vs the scalar oracle, row by row; returns the
+    degenerate count and checks the shared input states are left untouched."""
+    states = input_states(rows)
+    before = states.copy()
+    diag = ForwardDiagnostics()
+    preds = forward_states(genome, states, diag)
+    assert np.array_equal(states, before)
+    for row, pred in zip(rows, preds):
+        assert abs(pred - testkit.oracle_forward(genome, row)) <= 1e-12
+    return diag.degenerate_args
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    input_width=st.integers(1, 12),
+    hidden=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    rows=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_states_matches_oracle_on_random_architectures(input_width, hidden, rows, seed):
+    rng = np.random.default_rng(seed)
+    genome = random_genome(Architecture(input_width, tuple(hidden)), rng)
+    assert _check_against_oracle(genome, rng.random((rows, input_width))) == 0
+
+
+def _with_zero_rows(rng, random_rows: int, zero_rows: int) -> np.ndarray:
+    """Width-1 rows in [0.01, 1] with `zero_rows` rows of 0 mixed in; a 0 input
+    is the exact state 1 + 0i."""
+    rows = rng.uniform(0.01, 1.0, (random_rows + zero_rows, 1))
+    rows[rng.permutation(rows.shape[0])[:zero_rows]] = 0.0
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    planted=st.data(),
+    random_rows=st.integers(0, 4),
+    zero_rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_sum_at_a_hidden_layer(hidden, planted, random_rows, zero_rows, seed):
+    # Input width 1: a first-layer neuron whose bias phase equals its weight
+    # phase sums to exactly 0 on a 0 input, in the oracle as in the network.
+    rng = np.random.default_rng(seed)
+    arch = Architecture(1, tuple(hidden))
+    neurons = planted.draw(st.sets(st.integers(0, hidden[0] - 1), min_size=1))
+    phases = random_genome(arch, rng).phases.copy()
+    seg = layout(arch).transitions[0]
+    for j in neurons:
+        phases[seg.bias_start + j] = phases[seg.weight_start + j]
+    genome = NetworkGenome(arch, phases)
+    count = _check_against_oracle(genome, _with_zero_rows(rng, random_rows, zero_rows))
+    assert count == len(neurons) * zero_rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    depth=st.integers(1, 4),
+    gate=st.floats(40.0, 60.0),
+    random_rows=st.integers(0, 4),
+    zero_rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_sum_at_the_output(depth, gate, random_rows, zero_rows, seed):
+    # Hidden widths (1, ..., 1, 2). On a 0 input every width-1 layer sums to
+    # exactly 0, so its state is the gate phase c + i, with c = cos(pi/2) in
+    # floating point, because sigmoid(gate) == 1.0. The
+    # last hidden layer holds a neuron A that sums to 0 (state g) and a neuron
+    # B that sums to -2 (state -g); the output adds them with weight phase 0,
+    # so it sums to exactly 0 and is counted. The oracle's sum there is the
+    # rounding residue 2*cos(pi/2) > 0, whose argument is 0 all the same.
+    rng = np.random.default_rng(seed)
+    arch = Architecture(1, (1,) * (depth - 1) + (2,))
+    lay = layout(arch)
+    phases = random_genome(arch, rng).phases.copy()
+    for t, seg in enumerate(lay.transitions[:-1]):
+        # Weight phases turning the incoming state (1 from the input, c + i
+        # after a width-1 layer) into exactly 1 for A and -1 + 2ci for B.
+        a, b = (0.0, math.pi) if t == 0 else (-math.pi / 2, math.pi / 2)
+        phases[seg.rev_slice] = gate
+        phases[seg.weight_start] = a
+        phases[seg.bias_start] = 0.0
+        if seg.w_out == 2:
+            phases[seg.weight_start + 1] = b
+            phases[seg.bias_start + 1] = math.sin(math.pi)  # 2c: activates to 1 + 2ci
+    phases[lay.transitions[-1].weight_slice] = 0.0
+    genome = NetworkGenome(arch, phases)
+    count = _check_against_oracle(genome, _with_zero_rows(rng, random_rows, zero_rows))
+    assert count == (depth + 1) * zero_rows
 
 
 # ---------------------------------------------------------------- serialization
