@@ -14,7 +14,8 @@ import json
 import os
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,53 +36,10 @@ PLOT_SCHEMA = "qevo.plot/1"
 
 _METRIC_NAMES = ("rmse", "mae", "mape")
 
-_CONFIG_KEYS = {
-    "input": str,
-    "genome": str,
-    "timestamp_col": str,
-    "value_col": str,
-    "delimiter": str,
-    "header": lambda v: v.lower() in ("1", "true", "yes"),
-    "pi_minutes": int,
-    "window": int,
-    "population": int,
-    "generations": int,
-    "train_frac": float,
-    "seed": int,
-    "seeds": int,
-    "out_dir": str,
-    "mode": str,
-    "metrics": str,
-    "hidden_min": int,
-    "hidden_max": int,
-    "depth_min": int,
-    "depth_max": int,
-}
-
-_DEFAULTS = {
-    "timestamp_col": "timestamp",
-    "value_col": "value",
-    "delimiter": ",",
-    "header": True,
-    "pi_minutes": 5,
-    "window": 10,
-    "population": 80,
-    "generations": 50,
-    "train_frac": 0.6,
-    "seed": 0,
-    "seeds": 5,
-    "mode": "full",
-    "metrics": "rmse,mae,mape",
-    "hidden_min": 5,
-    "hidden_max": 10,
-    "depth_min": 1,
-    "depth_max": 4,
-}
-
 
 @dataclass
 class RunConfig:
-    """Merged view of defaults, config file, and CLI flags (flags win)."""
+    """Merged view of these defaults, config file, and CLI flags (flags win)."""
 
     input: str | None = None
     genome: str | None = None
@@ -120,20 +78,27 @@ class RunConfig:
         )
 
     def training_config(self, seed: int | None = None, mode: str | None = None):
+        """The evolve settings; a value evolve rejects is a usage error."""
         if not 0.0 < self.train_frac < 1.0:
             raise InputError("train_frac must be in (0, 1)")
-        if self.pi_minutes < 1:
-            raise InputError("pi_minutes must be >= 1")
         _thread_cap()
-        return evolve.TrainingConfig(
-            population_size=self.population,
-            generations=self.generations,
-            window_size=self.window,
-            hidden_range=(self.hidden_min, self.hidden_max),
-            depth_range=(self.depth_min, self.depth_max),
-            seed=self.seed if seed is None else seed,
-            mode=evolve.TrainingMode(mode or self.mode),
-        )
+        try:
+            return evolve.TrainingConfig(
+                population_size=self.population,
+                generations=self.generations,
+                window_size=self.window,
+                hidden_range=(self.hidden_min, self.hidden_max),
+                depth_range=(self.depth_min, self.depth_max),
+                seed=self.seed if seed is None else seed,
+                mode=evolve.TrainingMode(mode or self.mode),
+            )
+        except ValueError as exc:
+            raise InputError(f"bad training setting: {exc}") from None
+
+
+# Config-file keys are RunConfig's fields; a value parses as its default's type.
+_PARSE = {int: int, float: float, bool: lambda v: v.lower() in ("1", "true", "yes")}
+_CONFIG_KEYS = {f.name: _PARSE.get(type(f.default), str) for f in fields(RunConfig)}
 
 
 def _thread_cap() -> None:
@@ -172,7 +137,7 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    merged = {}
     if getattr(args, "config", None):
         merged.update(load_config_file(args.config))
     for key in RunConfig.__dataclass_fields__:
@@ -187,6 +152,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def _load_series(cfg: RunConfig) -> trace_io.AggregatedSeries:
     if not cfg.input:
         raise InputError("--input is required")
+    if cfg.pi_minutes < 1:
+        raise InputError("pi_minutes must be >= 1")
     trace = trace_io.parse_trace(cfg.input, cfg.trace_format())
     return trace_io.aggregate(trace, cfg.pi_minutes)
 
@@ -210,58 +177,49 @@ def _metric_dict(actual, predicted, names: list[str]) -> dict:
     return {k: result[k] for k in (*names, "count")}
 
 
-def _forecast_rows(genome, windows, params, split_at: int) -> list[dict]:
-    """One row per window target, plus one extrapolated row past the series end."""
+FORECAST_COLUMNS = (
+    "index", "split", "actual", "predicted", "actual_normalized", "predicted_normalized",
+)
+
+
+def _forecast_rows(genome, windows, params, split_at: int, head: str = "train") -> dict:
+    """Forecast columns: one entry per window target, then one extrapolated
+    step past the series end. The first `split_at` targets are labelled
+    `head`, the rest "test". `actual` and `actual_normalized` stop one entry
+    short, since the extrapolated step has no actual value."""
     preds_norm = network.forward_batch(genome, windows.inputs)
-    rows = []
-    n = windows.window_size
-    for i in range(len(windows)):
-        rows.append(
-            {
-                "index": n + i,
-                "split": "train" if i < split_at else "test",
-                "actual": dataset.denormalize(float(windows.targets[i]), params),
-                "predicted": dataset.denormalize(float(preds_norm[i]), params),
-                "actual_normalized": float(windows.targets[i]),
-                "predicted_normalized": float(preds_norm[i]),
-            }
-        )
     # Window ending at the last known value predicts one step past the series.
     tail = np.concatenate([windows.inputs[-1][1:], [windows.targets[-1]]])
-    next_norm = network.forward(genome, tail)
-    rows.append(
-        {
-            "index": n + len(windows),
-            "split": "future",
-            "actual": None,
-            "predicted": dataset.denormalize(next_norm, params),
-            "actual_normalized": None,
-            "predicted_normalized": next_norm,
-        }
-    )
-    return rows
+    predicted_normalized = np.append(preds_norm, network.forward(genome, tail))
+    n, x = windows.window_size, len(windows)
+    return {
+        "index": range(n, n + x + 1),
+        "split": [head] * split_at + ["test"] * (x - split_at) + ["future"],
+        "actual": dataset.denormalize(windows.targets, params),
+        "predicted": dataset.denormalize(predicted_normalized, params),
+        "actual_normalized": windows.targets,
+        "predicted_normalized": predicted_normalized,
+    }
 
 
-def write_forecast_csv(rows: list[dict], path: Path) -> None:
+def write_forecast_csv(rows: dict, path: Path) -> None:
+    """Write `_forecast_rows` columns: floats as repr, the missing actual
+    cells of the last row empty, lines as csv.writer ends them (CRLF)."""
+    def cells(key):
+        return map(repr, rows[key].tolist())
+
+    blank = [""] * (len(rows["split"]) - len(rows["actual"]))
+    lines = map(",".join, zip(
+        map(str, rows["index"]),
+        rows["split"],
+        chain(cells("actual"), blank),
+        cells("predicted"),
+        chain(cells("actual_normalized"), blank),
+        cells("predicted_normalized"),
+    ))
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema: {FORECAST_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["index", "split", "actual", "predicted", "actual_normalized", "predicted_normalized"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["index"],
-                    row["split"],
-                    "" if row["actual"] is None else repr(float(row["actual"])),
-                    repr(float(row["predicted"])),
-                    ""
-                    if row["actual_normalized"] is None
-                    else repr(float(row["actual_normalized"])),
-                    repr(float(row["predicted_normalized"])),
-                ]
-            )
+        fh.write("\r\n".join([",".join(FORECAST_COLUMNS), *lines]) + "\r\n")
 
 
 def read_forecast_csv(path: str | Path) -> list[dict]:
@@ -309,8 +267,8 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
-    series, params, windows, train_ds, test_ds = _prepare_datasets(cfg)
     training_config = cfg.training_config()
+    series, params, windows, train_ds, test_ds = _prepare_datasets(cfg)
     best, report = evolve.train(
         training_config, train_ds, checkpoint_dir=checkpoint_dir
     )
@@ -371,18 +329,18 @@ def cmd_predict(cfg: RunConfig, explicit_window: int | None = None) -> int:
     params = dataset.fit_normalizer(series)
     normalized = dataset.normalize(np.asarray(series.values), params)
     windows = dataset.build_windows(normalized, n)
-    rows = _forecast_rows(genome, windows, params, split_at=len(windows))
-    for row in rows:
-        if row["split"] == "train":
-            row["split"] = "series"
+    rows = _forecast_rows(genome, windows, params, split_at=len(windows), head="series")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_forecast_csv(rows, out_dir / "forecast.csv")
-    print(f"wrote {len(rows)} forecast rows to {out_dir / 'forecast.csv'}")
+    print(f"wrote {len(rows['split'])} forecast rows to {out_dir / 'forecast.csv'}")
     return 0
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
+    if cfg.seeds < 1:
+        raise InputError("seeds must be >= 1")
+    cfg.training_config()  # usage errors before the data is read
     series, params, windows, train_ds, test_ds = _prepare_datasets(cfg)
     names = cfg.selected_metrics()
     modes = [m.value for m in evolve.TrainingMode]

@@ -61,18 +61,6 @@ class StrategyState:
     successes: list[int] = field(default_factory=lambda: [0, 0, 0])
     failures: list[int] = field(default_factory=lambda: [0, 0, 0])
 
-    @property
-    def t1(self) -> float:
-        return self.probs[0]
-
-    @property
-    def t2(self) -> float:
-        return self.probs[1]
-
-    @property
-    def t3(self) -> float:
-        return self.probs[2]
-
 
 @dataclass
 class Population:
@@ -200,9 +188,10 @@ def sample_modulation_rate(
 
 def select_strategy(mss: float, state: StrategyState) -> Strategy:
     """Roulette wheel over the three strategy probabilities."""
-    if 0.0 < mss <= state.t1:
+    t1, t2, _ = state.probs
+    if 0.0 < mss <= t1:
         return Strategy.RAND_ONE
-    if state.t1 < mss <= state.t1 + state.t2:
+    if t1 < mss <= t1 + t2:
         return Strategy.CURRENT_TO_BEST
     return Strategy.BEST_ONE
 

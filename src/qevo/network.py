@@ -363,13 +363,18 @@ def genome_from_bytes(blob: bytes) -> NetworkGenome:
         offset += struct.calcsize(f"<{depth}I")
         (length,) = struct.unpack_from("<Q", blob, offset)
         offset += struct.calcsize("<Q")
-        phases = np.frombuffer(blob, dtype="<f8", count=length, offset=offset)
         if offset + 8 * length != len(blob):
-            raise GenomeFormatError("trailing bytes after phase array")
+            raise GenomeFormatError(
+                f"length field {length} does not match the {len(blob) - offset} bytes after the header"
+            )
+        phases = np.frombuffer(blob, dtype="<f8", count=length, offset=offset)
     except struct.error as exc:
         raise GenomeFormatError(f"truncated genome data: {exc}")
-    arch = Architecture(input_width=n, hidden_widths=widths, output_width=q)
-    return NetworkGenome(architecture=arch, phases=phases.copy())
+    try:
+        arch = Architecture(input_width=n, hidden_widths=widths, output_width=q)
+        return NetworkGenome(architecture=arch, phases=phases.copy())
+    except ValueError as exc:
+        raise GenomeFormatError(f"invalid genome: {exc}") from None
 
 
 def save_genome(genome: NetworkGenome, path: str | Path) -> None:

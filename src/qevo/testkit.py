@@ -3,18 +3,24 @@
 Everything here is intentionally naive: the forward oracle re-walks the
 genome with explicit (re, im) pair arithmetic and its own offset bookkeeping,
 sharing no implementation with the production network module, so agreement
-between the two is meaningful evidence.
+between the two is meaningful evidence. The trace reference is the
+row-by-row, dict-based parser that the columnar `trace_io.parse_trace` must
+match.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .errors import EmptyTraceError, MalformedRowError
 from .evolve import STRATEGIES, StrategyState, recombine, select_strategy
 from .network import Architecture, NetworkGenome, random_genome
+from .trace_io import TraceFormat, _resolve_column
 
 
 @dataclass
@@ -158,3 +164,39 @@ def check_selection_distribution(
         failures=failures,
         tolerance=tolerance,
     )
+
+
+def reference_parse_trace(path: str | Path, fmt: TraceFormat) -> tuple[tuple[float, float], ...]:
+    """Row-by-row reference for `trace_io.parse_trace`: sorted (timestamp,
+    mean) pairs. Each row is checked as it is read, so the first faulty row
+    raises. Duplicates are averaged with sequential `+=` sums in file order
+    (`sum()` compensates from Python 3.12 on)."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh, delimiter=fmt.delimiter))
+    if fmt.header and not rows:
+        raise EmptyTraceError(f"no rows in {path}")
+    fieldnames = [c.strip() for c in rows.pop(0)] if fmt.header else None
+    t_idx = _resolve_column(fmt.timestamp_col, fieldnames, "timestamp")
+    v_idx = _resolve_column(fmt.value_col, fieldnames, "value")
+    by_time: dict[float, list[float]] = {}
+    for row_index, row in enumerate(rows, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) <= max(t_idx, v_idx):
+            raise MalformedRowError(row_index, "too few columns")
+        try:
+            t, v = float(row[t_idx]), float(row[v_idx])
+        except ValueError as exc:
+            raise MalformedRowError(row_index, str(exc))
+        if not (math.isfinite(t) and math.isfinite(v)) or v < 0:
+            raise MalformedRowError(row_index, "non-finite or negative sample")
+        by_time.setdefault(t, []).append(v)
+    if not by_time:
+        raise EmptyTraceError(f"no data rows in {path}")
+    samples = []
+    for t, vs in sorted(by_time.items()):
+        total = 0.0
+        for v in vs:
+            total += v
+        samples.append((t, total / len(vs)))
+    return tuple(samples)

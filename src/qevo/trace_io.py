@@ -5,14 +5,17 @@ names (or indexes) the timestamp and value columns so that different
 cluster-trace exports and synthetic files all flow through one parser.
 Aggregation buckets samples into prediction intervals and fills gaps by
 linear interpolation so the downstream windowing sees a contiguous series.
+
+Both stages hold their data as read-only float64 arrays: a trace is an
+(x, 2) array of (timestamp, value) rows, a series a 1-d array of means.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
-import math
+from array import array
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +26,6 @@ from .errors import (
     InputError,
     MalformedRowError,
 )
-
-
-class Resource(str, enum.Enum):
-    CPU = "cpu"
-    MEMORY = "memory"
 
 
 @dataclass(frozen=True)
@@ -42,50 +40,51 @@ class TraceFormat:
     value_col: str | int = "value"
     delimiter: str = ","
     header: bool = True
-    machine_id: str = "unknown"
-    resource: Resource = Resource.CPU
 
 
 @dataclass(frozen=True)
 class RawTrace:
-    """Timestamped usage samples for one machine/resource kind.
+    """Timestamped usage samples.
 
-    Samples are (seconds-since-epoch, usage) pairs with strictly increasing
-    timestamps and finite, non-negative values; at least two samples.
+    `samples` is a read-only (x, 2) float64 array of (seconds-since-epoch,
+    usage) rows with strictly increasing timestamps and finite, non-negative
+    values; at least two rows.
     """
 
-    machine_id: str
-    resource: Resource
-    samples: tuple[tuple[float, float], ...]
+    samples: np.ndarray
 
     def __post_init__(self):
-        if len(self.samples) < 2:
-            raise EmptyTraceError(
-                f"trace needs at least 2 samples, got {len(self.samples)}"
-            )
-        prev = -math.inf
-        for t, v in self.samples:
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise ValueError(f"non-finite sample ({t}, {v})")
-            if v < 0:
-                raise ValueError(f"negative usage value {v} at t={t}")
-            if t <= prev:
-                raise ValueError(f"timestamps not strictly increasing at t={t}")
-            prev = t
+        samples = np.array(self.samples, dtype=np.float64)  # a copy no caller can change
+        samples.setflags(write=False)
+        if len(samples) < 2:
+            raise EmptyTraceError(f"trace needs at least 2 samples, got {len(samples)}")
+        if samples.ndim != 2 or samples.shape[1] != 2:
+            raise ValueError(f"samples must be (x, 2) rows, got shape {samples.shape}")
+        if not np.isfinite(samples).all():
+            raise ValueError("non-finite sample")
+        if (samples[:, 1] < 0).any():
+            raise ValueError("negative usage value")
+        if not (np.diff(samples[:, 0]) > 0).all():
+            raise ValueError("timestamps not strictly increasing")
+        object.__setattr__(self, "samples", samples)
 
 
 @dataclass(frozen=True)
 class AggregatedSeries:
-    """Per-interval usage means; `interval_minutes` is the prediction interval."""
+    """Per-interval usage means as a read-only float64 array;
+    `interval_minutes` is the prediction interval."""
 
     interval_minutes: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         if self.interval_minutes < 1:
             raise ValueError("interval_minutes must be >= 1")
-        if any(not math.isfinite(v) for v in self.values):
+        values = np.array(self.values, dtype=np.float64)
+        values.setflags(write=False)
+        if not np.isfinite(values).all():
             raise ValueError("aggregated values must be finite")
+        object.__setattr__(self, "values", values)
 
 
 def _resolve_column(mapping: str | int, fieldnames: list[str] | None, what: str) -> int:
@@ -105,15 +104,18 @@ def _resolve_column(mapping: str | int, fieldnames: list[str] | None, what: str)
 def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
     """Parse a trace file into a RawTrace.
 
-    Rows are sorted by timestamp and duplicate timestamps are averaged.
-    Raises FileNotFoundError, MalformedRowError (with the 1-based data row
-    index), or EmptyTraceError.
+    Rows are sorted by timestamp and duplicate timestamps are averaged, adding
+    in file order. Rows that are empty or whose cells are all blank are
+    skipped. Raises FileNotFoundError, InputError for an unknown column,
+    MalformedRowError (with the 1-based data row index), or EmptyTraceError.
     """
     fmt = fmt or TraceFormat()
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"trace file not found: {path}")
 
+    # Plain float64 buffers: no Python object per row outlives its row.
+    times, values = array("d"), array("d")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=fmt.delimiter)
         fieldnames = None
@@ -124,30 +126,33 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
                 raise EmptyTraceError(f"no rows in {path}")
         t_idx = _resolve_column(fmt.timestamp_col, fieldnames, "timestamp")
         v_idx = _resolve_column(fmt.value_col, fieldnames, "value")
+        needed = max(t_idx, v_idx) + 1
 
-        by_time: dict[float, list[float]] = {}
+        add_time, add_value = times.append, values.append
         for row_index, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(t_idx, v_idx):
-                raise MalformedRowError(row_index, f"expected >= {max(t_idx, v_idx) + 1} columns, got {len(row)}")
             try:
                 t = float(row[t_idx])
                 v = float(row[v_idx])
-            except ValueError as exc:
+            except (IndexError, ValueError) as exc:
+                if all(not cell.strip() for cell in row):
+                    continue
+                if len(row) < needed:
+                    raise MalformedRowError(row_index, f"expected >= {needed} columns, got {len(row)}")
                 raise MalformedRowError(row_index, str(exc))
-            if not (math.isfinite(t) and math.isfinite(v)):
+            if not (isfinite(t) and isfinite(v)):
                 raise MalformedRowError(row_index, f"non-finite sample ({t}, {v})")
             if v < 0:
                 raise MalformedRowError(row_index, f"negative usage value {v}")
-            by_time.setdefault(t, []).append(v)
+            add_time(t)
+            add_value(v)
 
-    if not by_time:
+    if not times:
         raise EmptyTraceError(f"no data rows in {path}")
-    samples = tuple(
-        (t, sum(vs) / len(vs)) for t, vs in sorted(by_time.items())
-    )
-    return RawTrace(machine_id=fmt.machine_id, resource=fmt.resource, samples=samples)
+    # return_index makes numpy sort stably, so a timestamp keeps its first
+    # spelling (-0.0 or 0.0), and bincount adds each group in file order.
+    unique, _, inverse = np.unique(times, return_index=True, return_inverse=True)
+    means = np.bincount(inverse, weights=values) / np.bincount(inverse)
+    return RawTrace(samples=np.column_stack([unique, means]))
 
 
 def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
@@ -161,8 +166,7 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
     if interval_minutes < 1:
         raise ValueError("interval_minutes must be >= 1")
     width = interval_minutes * 60.0
-    times = np.array([t for t, _ in trace.samples], dtype=float)
-    values = np.array([v for _, v in trace.samples], dtype=float)
+    times, values = trace.samples[:, 0], trace.samples[:, 1]
 
     buckets = np.floor(times / width).astype(np.int64)
     first, last = int(buckets[0]), int(buckets[-1])
@@ -181,6 +185,4 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
         idx = np.arange(n_buckets)
         means = np.interp(idx, idx[occupied], means[occupied])
 
-    return AggregatedSeries(
-        interval_minutes=interval_minutes, values=tuple(float(v) for v in means)
-    )
+    return AggregatedSeries(interval_minutes=interval_minutes, values=means)

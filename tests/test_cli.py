@@ -1,3 +1,4 @@
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from qevo import network
-from qevo.cli import main, read_forecast_csv
+from qevo.cli import FORECAST_COLUMNS, FORECAST_SCHEMA, main, read_forecast_csv, write_forecast_csv
 
 from conftest import positive_trace, write_trace_csv
 
@@ -251,3 +252,60 @@ def test_config_file_unknown_key(tmp_path, capsys):
 def test_bad_threads_env(trace_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QEVO_THREADS", "zero")
     assert main(train_args(trace_file, tmp_path / "out")) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("train", "--population", "2"),
+        ("train", "--hidden-min", "0"),
+        ("train", "--generations", "-1"),
+        ("train", "--window", "0"),
+        ("ablate", "--seeds", "0"),
+        ("predict", "--pi-minutes", "0"),
+    ],
+)
+def test_bad_numeric_flag_is_usage_error(trace_file, tmp_path, capsys, command, flag, value):
+    if command == "predict":
+        genome = tmp_path / "genome.bin"
+        network.save_genome(network.random_genome(network.Architecture(5, (3,)), np.random.default_rng(0)), genome)
+        args = ["predict", "--genome", str(genome), "--input", str(trace_file), "--out-dir", str(tmp_path / "out")]
+    else:
+        args = train_args(trace_file, tmp_path / "out")
+        args[0] = command
+    assert main([*args, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error:")
+
+
+def _csv_writer_reference(rows, path):
+    """The forecast file as a csv.writer writes it row by row."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# schema: {FORECAST_SCHEMA}\n")
+        writer = csv.writer(fh)
+        writer.writerow(FORECAST_COLUMNS)
+        for i, index in enumerate(rows["index"]):
+            has_actual = i < len(rows["actual"])
+            writer.writerow([
+                index,
+                rows["split"][i],
+                repr(float(rows["actual"][i])) if has_actual else "",
+                repr(float(rows["predicted"][i])),
+                repr(float(rows["actual_normalized"][i])) if has_actual else "",
+                repr(float(rows["predicted_normalized"][i])),
+            ])
+
+
+def test_write_forecast_csv_matches_csv_writer(tmp_path):
+    values = np.array([5e-324, 1e-17, 0.1, 1.0, 1e16, 0.30000000000000004])
+    rows = {
+        "index": range(3, 10),
+        "split": ["train"] * 4 + ["test"] * 2 + ["future"],
+        "actual": values[::-1].copy(),
+        "predicted": np.append(values, 2.5e-310),
+        "actual_normalized": values,
+        "predicted_normalized": np.append(values[::-1], 1e-5),
+    }
+    write_forecast_csv(rows, tmp_path / "fast.csv")
+    _csv_writer_reference(rows, tmp_path / "reference.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

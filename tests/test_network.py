@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -344,3 +345,20 @@ def test_layout_matches_every_constructed_genome():
         arch = Architecture(int(rng.integers(1, 12)), widths)
         g = random_genome(arch, rng)
         assert g.phases.size == layout(arch).total_length
+
+
+def test_genome_oversized_length_field():
+    arch = Architecture(2, (2,))
+    blob = network.genome_to_bytes(zeros_genome(arch))
+    length_at = len(blob) - 8 * layout(arch).total_length - 8  # the field before the phases
+    oversized = blob[:length_at] + struct.pack("<Q", 2**40) + blob[length_at + 8:]
+    with pytest.raises(GenomeFormatError):
+        network.genome_from_bytes(oversized)
+
+
+def test_genome_zero_hidden_width():
+    blob = bytearray(network.genome_to_bytes(zeros_genome(Architecture(2, (2,)))))
+    first_width = struct.calcsize("<4sIIII")
+    blob[first_width:first_width + 4] = struct.pack("<I", 0)
+    with pytest.raises(GenomeFormatError):
+        network.genome_from_bytes(bytes(blob))
