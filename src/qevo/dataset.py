@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -127,10 +126,3 @@ def split(
         targets=dataset.targets[lo:hi].copy(),
     )
     return make(0, cut), make(cut, x)
-
-
-def windows_to_csv(dataset: WindowedDataset, path: str | Path) -> None:
-    """Debug dump: one row per window, last column is the target."""
-    rows = np.column_stack([dataset.inputs, dataset.targets])
-    header = ",".join(f"lag{j}" for j in range(dataset.window_size)) + ",target"
-    np.savetxt(path, rows, delimiter=",", header=header, comments="")

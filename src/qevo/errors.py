@@ -22,6 +22,10 @@ class MalformedRowError(InputError):
         self.row_index = row_index
 
 
+class SampleOverflowError(InputError):
+    """Trace values whose duplicate-timestamp or bucket sum overflows float64."""
+
+
 class EmptyTraceError(QevoError):
     """Trace contains no usable samples."""
 

@@ -7,6 +7,7 @@ silently dropping points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,9 @@ def _pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
 
 def rmse(actual, predicted) -> float:
     a, p = _pair(actual, predicted)
-    return float(np.sqrt(np.mean(np.square(a - p))))
+    d = a - p
+    # The sum and division np.mean performs, without its dispatch overhead.
+    return math.sqrt(np.add.reduce(d * d) / d.size)
 
 
 def mae(actual, predicted) -> float:

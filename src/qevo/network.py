@@ -7,28 +7,50 @@ an activated bias (hidden layers only), and re-rotate via a sigmoid-gated
 reversal parameter: psi = (pi/2)*sigmoid(rho) - arg(U). The output qubit is
 observed as sin(psi)^2, which lands in [0, 1] like the normalized targets.
 
+Genome layout, per transition between layer widths (w_in -> w_out):
+weight block of w_in*w_out phases stored source-major (W[i, j] connects
+source i to destination j), then for hidden destinations a bias block and a
+reversal block of w_out entries each; the output transition has no bias.
+
 `forward_states` evaluates the same map without per-row trigonometry. With
 the gate phase g = exp(i*(pi/2)*sigmoid(rho)), the next state is
 
     exp(i*psi) = g * conj(U) / |U|
 
-and the output is Im(g * conj(U) / |U|)^2, so the only transcendental left
-is one complex exp per genome over its weights, biases and gates. A zero
-sum U == 0 has no argument: it is taken as arg 0, so the state becomes the
-gate phase g itself, and `ForwardDiagnostics.degenerate_args` counts it.
-`neuron_aggregate` and `reverse_rotate` keep the literal per-neuron form as
-the reference the tests compare against.
+and the output is Im(g * conj(U) / |U|)^2, so the only transcendentals are
+one complex exp per genome (`_phasors`). A zero sum U == 0 has no argument:
+it is taken as arg 0, so the state becomes the gate phase g itself, and
+`ForwardDiagnostics.degenerate_args` counts it. `testkit.neuron_aggregate`
+and `testkit.reverse_rotate` keep the literal per-neuron form.
 
-Genome layout, per transition between layer widths (w_in -> w_out):
-weight block of w_in*w_out phases stored source-major (W[i, j] connects
-source i to destination j), then for hidden destinations a bias block and a
-reversal block of w_out entries each; the output transition has no bias.
+The pass works on (width, rows) blocks, one block row per neuron, so each
+transition is one matrix product plus a few in-place passes over
+contiguous memory:
+
+- `input_states` appends a row of -1 to the input block. The bias block
+  follows the weight block in the genome, so the phasors of [W; b] are one
+  (w_in+1, w_out) view, and [W; b]^T @ [Y; -1] = W^T Y - b is one product.
+  Every hidden block gets the same -1 row for the next transition.
+- A hidden neuron's gate multiplies its outgoing weight row in the
+  per-genome phasor copy, so the block carries conj(U)/|U| and never the
+  gate.
+- Transition t computes conj(U) instead of U when t is odd, by
+  conjugating its gate-scaled [W; b] phasors. Each hidden block is then
+  just C/|C| of the product C it holds, with no conj pass over the rows,
+  and the output is Im(g' * C)^2 / |C|^2, g' being the output gate,
+  conjugated when the output transition is even.
+- The blocks live in a per-thread workspace of two complex buffers of
+  rows * (widest hidden layer + 1) entries, replaced by larger ones when a
+  call needs more and reused otherwise. A transition writes its product
+  into one buffer and |C| into the float view of the other, whose block the
+  product has just consumed. Predictions are returned in a new array.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,83 +219,72 @@ def encode_input(normalized):
     return HALF_PI * np.asarray(normalized, dtype=float)
 
 
-def activate(phase):
-    """Unit-modulus qubit state cos(phase) + i*sin(phase)."""
-    return np.exp(1j * np.asarray(phase, dtype=float))
-
-
 def sigmoid(x):
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def neuron_aggregate(incoming, weight_phases, bias_phase=None):
-    """Accumulate one neuron's input: sum(activate(w_i) * y_i) - activate(bias).
-
-    `incoming` are qubit states (complex), `weight_phases` the matching
-    connection phases. The result is intentionally unnormalized.
-    """
-    states = np.asarray(incoming, dtype=complex)
-    weights = np.asarray(weight_phases, dtype=float)
-    if states.shape != weights.shape:
-        raise DimensionMismatchError(
-            f"{states.shape} incoming states vs {weights.shape} weight phases"
-        )
-    if states.size == 0:
-        raise DimensionMismatchError("neuron with no incoming connections")
-    total = np.sum(activate(weights) * states)
-    if bias_phase is not None:
-        total = total - activate(bias_phase)
-    return total
-
-
-def reverse_rotate(u, reversal, diag: ForwardDiagnostics | None = None):
-    """Sigmoid-gated reverse rotation: (pi/2)*sigmoid(rho) - arg(u).
-
-    A zero accumulation has no argument; it is treated as arg 0 and counted
-    in `diag` so training can report how often it happened.
-    """
-    u = np.asarray(u, dtype=complex)
-    if diag is not None:
-        diag.degenerate_args += int(np.count_nonzero((u.real == 0.0) & (u.imag == 0.0)))
-    psi = HALF_PI * sigmoid(reversal) - np.angle(u)
-    return float(psi) if psi.ndim == 0 else psi
-
-
-def qubit_vector_magnitude(states) -> float:
-    """Diagnostic norm sqrt(sum(re^2 + im^2)) over a non-empty state list."""
-    z = np.asarray(states, dtype=complex)
-    if z.size == 0:
-        raise ValueError("magnitude of an empty state list is undefined")
-    return float(np.sqrt(np.sum(z.real**2 + z.imag**2)))
-
-
 def input_states(rows: np.ndarray) -> np.ndarray:
-    """Encode and activate a matrix of normalized rows (genome-independent)."""
+    """Encode and activate a matrix of normalized rows (genome-independent).
+
+    Returns a read-only (R, n+1) view: the transpose of a C-contiguous
+    (n+1, R) block holding the n input states per row and a last row of -1,
+    through which `forward_states` subtracts the first layer's bias.
+    """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise DimensionMismatchError(f"expected 2-d input matrix, got shape {rows.shape}")
-    return activate(encode_input(rows))
+    n = rows.shape[1]
+    block = np.empty((n + 1, rows.shape[0]), dtype=complex)
+    states = np.multiply(encode_input(rows.T), 1j, out=block[:n])
+    np.exp(states, out=states)
+    block[n] = -1.0
+    block.setflags(write=False)
+    return block.T
 
 
 @functools.lru_cache(maxsize=4096)
-def _reversal_index(arch: Architecture) -> np.ndarray:
-    """Positions of every reversal entry in the flat phase vector (read-only)."""
-    index = np.concatenate(
-        [np.arange(seg.rev_start, seg.end) for seg in layout(arch).transitions]
-    )
-    index.setflags(write=False)
+def _phasor_index(arch: Architecture) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only positions in the flat phase vector, cached per architecture:
+    `rev`, every reversal entry; `dst`, every weight of a transition after a
+    hidden layer; `src`, for each of those, the reversal entry of the source
+    neuron whose gate the weight absorbs."""
+    transitions = layout(arch).transitions
+    rev = [np.arange(seg.rev_start, seg.end) for seg in transitions]
+    dst = [np.arange(nxt.weight_slice.start, nxt.weight_slice.stop) for nxt in transitions[1:]]
+    src = [np.repeat(r, nxt.w_out) for r, nxt in zip(rev, transitions[1:])]
+    index = (np.concatenate(rev), np.concatenate(dst), np.concatenate(src))
+    for table in index:
+        table.setflags(write=False)
     return index
 
 
 def _phasors(genome: NetworkGenome) -> np.ndarray:
-    """exp(i*theta) of every genome entry, reversal entries replaced by their
-    gate angle (pi/2)*sigmoid(rho): the genome's only transcendentals."""
-    rev = _reversal_index(genome.architecture)
+    """exp(i*theta) of every genome entry, with reversal entries replaced by
+    their gate angle (pi/2)*sigmoid(rho) and each weight row leaving a hidden
+    neuron multiplied by that neuron's gate. These are the genome's only
+    transcendentals."""
+    rev, dst, src = _phasor_index(genome.architecture)
     angles = genome.phases.copy()
     angles[rev] = HALF_PI * sigmoid(angles[rev])
-    return np.exp(1j * angles)
+    phasor = np.exp(1j * angles)
+    phasor[dst] *= phasor[src]
+    return phasor
+
+
+# Per-thread scratch blocks for `forward_states`, kept between calls and
+# replaced by larger ones when a call needs more room.
+_workspace = threading.local()
+
+
+def _workspace_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two complex buffers of at least `size` entries each."""
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = (np.empty(size, complex), np.empty(size, complex))
+        _workspace.buffers = buffers
+    return buffers
 
 
 def forward_states(
@@ -281,37 +292,48 @@ def forward_states(
     states: np.ndarray,
     diag: ForwardDiagnostics | None = None,
 ) -> np.ndarray:
-    """Run the network over pre-activated input states; one prediction per row.
+    """Run the network over `input_states` output; one prediction per row.
 
     `states` is only read, so one input-state array can serve every genome.
+    The predictions are a new array that shares no memory with the workspace.
     """
     arch = genome.architecture
-    if states.shape[1] != arch.input_width:
+    if states.ndim != 2 or states.shape[1] != arch.input_width + 1:
         raise DimensionMismatchError(
-            f"row width {states.shape[1]} != network input width {arch.input_width}"
+            f"states of shape {states.shape} do not fit input width {arch.input_width}"
+            " plus the -1 column of input_states"
         )
-    transitions = layout(arch).transitions
+    rows = states.shape[0]
     phasor = _phasors(genome)
-    y = states
-    for seg in transitions:
-        u = y @ phasor[seg.weight_slice].reshape(seg.w_in, seg.w_out)
-        if seg.has_bias:
-            u -= phasor[seg.bias_slice]
-        mag = np.abs(u)
+    a, b = _workspace_buffers(rows * (max(arch.hidden_widths) + 1))
+    block = states.T
+    for t, seg in enumerate(layout(arch).transitions):
+        w = seg.w_out
+        size = w * rows
+        # [W; b] for a hidden destination, whose bias block follows its
+        # weights; W alone for the output, which so skips the -1 row.
+        weights = phasor[seg.weight_start : seg.rev_start].reshape(-1, w)
+        if t % 2:
+            weights = weights.conj()  # this product is conj(U)
+        c = np.matmul(weights.T, block[: len(weights)], out=a[:size].reshape(w, rows))
+        # The product has consumed `block`, so b is free for |c|.
+        mag = np.abs(c, out=b.view(float)[:size].reshape(w, rows))
         if not mag.all():
             zero = mag == 0.0
             if diag is not None:
                 diag.degenerate_args += int(np.count_nonzero(zero))
-            u[zero] = 1.0  # arg 0: the state becomes the gate phase
+            c[zero] = 1.0  # arg 0: the state becomes the gate phase
             mag[zero] = 1.0
-        gate = phasor[seg.rev_slice]
         if not seg.has_bias:  # the output transition, always the last
             break
-        y = np.conjugate(u, out=u)
-        y *= gate
-        y *= np.reciprocal(mag, out=mag)
-    im = gate.imag * u.real[:, 0] - gate.real * u.imag[:, 0]
-    return np.square(im / mag[:, 0])
+        c *= np.reciprocal(mag, out=mag)
+        block = a[: size + rows].reshape(w + 1, rows)
+        block[w] = -1.0
+        a, b = b, a
+    gate = phasor[seg.rev_start] if t % 2 else phasor[seg.rev_start].conjugate()
+    im = gate.real * c.imag[0] + gate.imag * c.real[0]
+    im /= mag[0]
+    return np.square(im, out=im)
 
 
 def forward_batch(

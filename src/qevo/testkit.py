@@ -3,9 +3,10 @@
 Everything here is intentionally naive: the forward oracle re-walks the
 genome with explicit (re, im) pair arithmetic and its own offset bookkeeping,
 sharing no implementation with the production network module, so agreement
-between the two is meaningful evidence. The trace reference is the
-row-by-row, dict-based parser that the columnar `trace_io.parse_trace` must
-match.
+between the two is meaningful evidence. `neuron_aggregate` and
+`reverse_rotate` are the literal per-neuron form of one layer transition.
+The trace reference is the row-by-row, dict-based parser that the columnar
+`trace_io.parse_trace` must match.
 """
 
 from __future__ import annotations
@@ -17,9 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyTraceError, MalformedRowError
+from .errors import DimensionMismatchError, EmptyTraceError, MalformedRowError
 from .evolve import STRATEGIES, StrategyState, recombine, select_strategy
-from .network import Architecture, NetworkGenome, random_genome
+from .network import (
+    HALF_PI,
+    Architecture,
+    ForwardDiagnostics,
+    NetworkGenome,
+    random_genome,
+    sigmoid,
+)
 from .trace_io import TraceFormat, _resolve_column
 
 
@@ -83,6 +91,52 @@ def oracle_forward(genome: NetworkGenome, row) -> float:
             next_states.append((math.cos(psi), math.sin(psi)))
         states = next_states
     raise AssertionError("unreachable: network has at least one transition")
+
+
+def activate(phase):
+    """Unit-modulus qubit state cos(phase) + i*sin(phase)."""
+    return np.exp(1j * np.asarray(phase, dtype=float))
+
+
+def neuron_aggregate(incoming, weight_phases, bias_phase=None):
+    """Accumulate one neuron's input: sum(activate(w_i) * y_i) - activate(bias).
+
+    `incoming` are qubit states (complex), `weight_phases` the matching
+    connection phases. The result is intentionally unnormalized.
+    """
+    states = np.asarray(incoming, dtype=complex)
+    weights = np.asarray(weight_phases, dtype=float)
+    if states.shape != weights.shape:
+        raise DimensionMismatchError(
+            f"{states.shape} incoming states vs {weights.shape} weight phases"
+        )
+    if states.size == 0:
+        raise DimensionMismatchError("neuron with no incoming connections")
+    total = np.sum(activate(weights) * states)
+    if bias_phase is not None:
+        total = total - activate(bias_phase)
+    return total
+
+
+def reverse_rotate(u, reversal, diag: ForwardDiagnostics | None = None):
+    """Sigmoid-gated reverse rotation: (pi/2)*sigmoid(rho) - arg(u).
+
+    A zero accumulation has no argument; it is treated as arg 0 and counted
+    in `diag` so training can report how often it happened.
+    """
+    u = np.asarray(u, dtype=complex)
+    if diag is not None:
+        diag.degenerate_args += int(np.count_nonzero((u.real == 0.0) & (u.imag == 0.0)))
+    psi = HALF_PI * sigmoid(reversal) - np.angle(u)
+    return float(psi) if psi.ndim == 0 else psi
+
+
+def qubit_vector_magnitude(states) -> float:
+    """Diagnostic norm sqrt(sum(re^2 + im^2)) over a non-empty state list."""
+    z = np.asarray(states, dtype=complex)
+    if z.size == 0:
+        raise ValueError("magnitude of an empty state list is undefined")
+    return float(np.sqrt(np.sum(z.real**2 + z.imag**2)))
 
 
 def _expected_genome_length(arch: Architecture) -> int:

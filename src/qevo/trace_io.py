@@ -25,6 +25,7 @@ from .errors import (
     EmptyTraceError,
     InputError,
     MalformedRowError,
+    SampleOverflowError,
 )
 
 
@@ -107,7 +108,9 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
     Rows are sorted by timestamp and duplicate timestamps are averaged, adding
     in file order. Rows that are empty or whose cells are all blank are
     skipped. Raises FileNotFoundError, InputError for an unknown column,
-    MalformedRowError (with the 1-based data row index), or EmptyTraceError.
+    MalformedRowError (with the 1-based data row index), SampleOverflowError
+    when the values of one timestamp sum past the float64 range, or
+    EmptyTraceError.
     """
     fmt = fmt or TraceFormat()
     path = Path(path)
@@ -152,6 +155,9 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
     # spelling (-0.0 or 0.0), and bincount adds each group in file order.
     unique, _, inverse = np.unique(times, return_index=True, return_inverse=True)
     means = np.bincount(inverse, weights=values) / np.bincount(inverse)
+    if not np.isfinite(means).all():
+        t = float(unique[np.argmin(np.isfinite(means))])
+        raise SampleOverflowError(f"values at timestamp {t!r} sum past the float64 range")
     return RawTrace(samples=np.column_stack([unique, means]))
 
 
@@ -161,7 +167,9 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
     Bucket b covers [b*PI, (b+1)*PI) on the absolute time axis; the output
     runs from the first to the last occupied bucket. Empty interior buckets
     are filled by linear interpolation between their non-empty neighbours;
-    empty edge buckets copy the nearest non-empty value.
+    empty edge buckets copy the nearest non-empty value. Raises
+    SampleOverflowError when the values of one bucket sum past the float64
+    range.
     """
     if interval_minutes < 1:
         raise ValueError("interval_minutes must be >= 1")
@@ -173,9 +181,15 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
     n_buckets = last - first + 1
     sums = np.zeros(n_buckets)
     counts = np.zeros(n_buckets)
-    np.add.at(sums, buckets - first, values)
+    with np.errstate(over="ignore"):  # an overflowed sum is reported below
+        np.add.at(sums, buckets - first, values)
     np.add.at(counts, buckets - first, 1.0)
 
+    if not np.isfinite(sums).all():
+        start = (first + int(np.argmin(np.isfinite(sums)))) * width
+        raise SampleOverflowError(
+            f"values of the bucket starting at {start!r} s sum past the float64 range"
+        )
     occupied = counts > 0
     if not occupied.any():
         raise AllBucketsEmptyError("no samples landed in any bucket")

@@ -14,7 +14,8 @@ import pytest
 
 from qevo import cli, dataset, evolve, metrics, network, testkit, trace_io
 from qevo.evolve import TrainingConfig, TrainingMode, recombine, train, update_probabilities
-from qevo.network import Architecture, activate, forward, random_genome
+from qevo.network import Architecture, forward, random_genome
+from qevo.testkit import activate
 
 from conftest import positive_trace, sine_series, write_trace_csv
 

@@ -255,6 +255,21 @@ def test_bad_threads_env(trace_file, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "rows",
+    [
+        "0,1e308\n0,1e308\n60,1\n120,2\n",  # one timestamp's values sum to inf
+        "0,1e308\n30,1e308\n60,1\n120,2\n",  # one bucket's values sum to inf
+    ],
+)
+def test_train_sum_overflow_is_usage_error(tmp_path, capsys, rows):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("timestamp,value\n" + rows)
+    assert main(train_args(trace, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "float64 range" in err
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         ("train", "--population", "2"),

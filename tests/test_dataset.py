@@ -103,17 +103,6 @@ def test_split_preserves_rows_and_order():
     assert np.array_equal(np.concatenate([train.targets, test.targets]), ds.targets)
 
 
-def test_windows_to_csv(tmp_path):
-    ds = dataset.build_windows([0.1, 0.2, 0.3, 0.4], 2)
-    path = tmp_path / "windows.csv"
-    dataset.windows_to_csv(ds, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "lag0,lag1,target"
-    assert len(lines) == 1 + len(ds)
-    first = [float(v) for v in lines[1].split(",")]
-    assert first == pytest.approx([0.1, 0.2, 0.3])
-
-
 def test_windowed_dataset_rejects_out_of_range():
     with pytest.raises(ValueError):
         dataset.WindowedDataset(window_size=1, inputs=np.array([[1.5]]), targets=np.array([0.5]))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qevo import testkit
-from qevo.errors import EmptyTraceError, InputError, MalformedRowError
+from qevo.errors import EmptyTraceError, InputError, MalformedRowError, SampleOverflowError
 from qevo.trace_io import AggregatedSeries, RawTrace, TraceFormat, aggregate, parse_trace
 
 
@@ -165,6 +165,21 @@ def test_raw_trace_validation(samples):
         make_trace(samples)
 
 
+def test_parse_duplicate_sum_overflow_is_an_input_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("t,v\n0,1e308\n0,1e308\n60,1\n")
+    with pytest.raises(SampleOverflowError, match="timestamp 0.0") as excinfo:
+        parse_trace(path, TraceFormat(timestamp_col="t", value_col="v"))
+    assert isinstance(excinfo.value, InputError)
+
+
+def test_aggregate_bucket_sum_overflow_is_an_input_error():
+    trace = make_trace([(0.0, 1e308), (30.0, 1e308), (120.0, 1.0)])
+    with pytest.raises(SampleOverflowError, match="starting at 0.0 s") as excinfo:
+        aggregate(trace, 1)
+    assert isinstance(excinfo.value, InputError)
+
+
 def test_parse_reports_the_first_faulty_row(tmp_path):
     # A negative value on row 2 is reported before the unparsable row 3.
     path = tmp_path / "t.csv"
@@ -231,9 +246,14 @@ def test_parse_matches_the_row_by_row_reference(rows, swap):
             assert getattr(excinfo.value, "row_index", None) == getattr(exc, "row_index", None)
             return
         expected = np.array(expected, dtype=np.float64).reshape(-1, 2)
-        # RawTrace rejects a single sample, and a duplicate mean that overflowed.
-        if len(expected) < 2 or not np.isfinite(expected).all():
-            with pytest.raises(EmptyTraceError if len(expected) < 2 else ValueError):
+        # A duplicate mean that overflowed is a typed input error, raised
+        # before RawTrace rejects a single sample.
+        if not np.isfinite(expected).all():
+            with pytest.raises(SampleOverflowError):
+                parse_trace(path, fmt)
+            return
+        if len(expected) < 2:
+            with pytest.raises(EmptyTraceError):
                 parse_trace(path, fmt)
             return
         samples = parse_trace(path, fmt).samples
