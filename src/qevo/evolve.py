@@ -216,11 +216,20 @@ def update_probabilities(state: StrategyState) -> StrategyState:
     return StrategyState(probs=(t1, t2, t3))
 
 
-@functools.lru_cache(maxsize=4096)
-def _block_spans(arch: Architecture) -> dict[tuple[int, str], tuple[int, int]]:
-    """(transition, kind) -> (start, length) of every block, cached per
-    architecture like `layout`; the dict is shared, so callers only read it."""
-    return {(t, kind): (sl.start, sl.stop - sl.start) for t, kind, sl in layout(arch).blocks()}
+@functools.lru_cache(maxsize=256)
+def _aligned(base: Architecture, other: Architecture) -> np.ndarray:
+    """For every entry of a `base` genome, the entry of an `other` genome in
+    the same block at the same offset, or -1 where the other's block is
+    shorter or missing. Read-only, cached per architecture pair."""
+    spans = {(t, kind): sl for t, kind, sl in layout(other).blocks()}
+    index = np.full(layout(base).total_length, -1, dtype=np.int32)
+    for t, kind, sl in layout(base).blocks():
+        if (t, kind) in spans:
+            theirs = spans[t, kind]
+            length = min(sl.stop - sl.start, theirs.stop - theirs.start)
+            index[sl.start : sl.start + length] = np.arange(theirs.start, theirs.start + length)
+    index.setflags(write=False)
+    return index
 
 
 def _combine_blockwise(
@@ -233,23 +242,18 @@ def _combine_blockwise(
     on the overlapping prefix shared by every participant, and positions any
     donor lacks keep the base entry.
     """
-    donors = [
-        (coeff, a.phases, _block_spans(a.architecture), b.phases, _block_spans(b.architecture))
-        for coeff, a, b in terms
-    ]
+    arch = base.architecture
     out = base.phases.copy()
-    for key, (start, length) in _block_spans(base.architecture).items():
-        for _, _, spans_a, _, spans_b in donors:
-            if key not in spans_a or key not in spans_b:
-                length = 0
-                break
-            length = min(length, spans_a[key][1], spans_b[key][1])
-        if length == 0:
-            continue
-        value = out[start : start + length]  # a view: summed in place
-        for coeff, phases_a, spans_a, phases_b, spans_b in donors:
-            sa, sb = spans_a[key][0], spans_b[key][0]
-            value += coeff * (phases_a[sa : sa + length] - phases_b[sb : sb + length])
+    if all(g.architecture == arch for _, a, b in terms for g in (a, b)):
+        for coeff, a, b in terms:
+            out += coeff * (a.phases - b.phases)
+        return out
+    maps = [(_aligned(arch, a.architecture), _aligned(arch, b.architecture)) for _, a, b in terms]
+    shared = np.flatnonzero(functools.reduce(np.minimum, [m for pair in maps for m in pair]) >= 0)
+    value = out[shared]
+    for (coeff, a, b), (map_a, map_b) in zip(terms, maps):
+        value += coeff * (a.phases[map_a[shared]] - b.phases[map_b[shared]])
+    out[shared] = value
     return out
 
 
@@ -270,9 +274,8 @@ def modulate(
     n = len(population.candidates)
     if n < 4:
         raise PopulationTooSmallError(f"population of {n} cannot supply 3 distinct donors")
-    picks = rng.choice(n - 1, size=3, replace=False)
-    picks[picks >= index] += 1
-    r1, r2, r3 = (population.candidates[int(j)] for j in picks)
+    picks = rng.choice(n - 1, size=3, replace=False).tolist()
+    r1, r2, r3 = (population.candidates[j + (j >= index)] for j in picks)
     current = population.candidates[index]
 
     if strategy is Strategy.RAND_ONE:
@@ -284,14 +287,78 @@ def modulate(
     return NetworkGenome(base.architecture, _combine_blockwise(base, terms))
 
 
-def _fit_rows(rows: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
-    """Truncate or random-pad every transferred row to a new length; pads are
-    drawn row after row."""
-    short = length - rows.shape[1]
-    if short <= 0:
-        return rows[:, :length]
-    pad = rng.uniform(-HALF_PI, HALF_PI, (rows.shape[0], short))
-    return np.concatenate([rows, pad], axis=1)
+@functools.lru_cache(maxsize=256)
+def _splice_plan(
+    p_arch: Architecture,
+    d_arch: Architecture,
+    level: int,
+    keep: int,
+    donor_cut: int,
+) -> tuple[Architecture, np.ndarray, tuple[int, ...]]:
+    """The child architecture of `_splice`, the source of every child entry,
+    and the sizes of the random pads, cached per argument tuple.
+
+    Sources index the primary's phases, then the donor's, then the pads in
+    the order they are drawn; a pad is drawn row after row.
+    """
+    new_width = keep + (d_arch.hidden_widths[level - 1] - donor_cut)
+    hidden = list(p_arch.hidden_widths)
+    hidden[level - 1] = new_width
+    child_arch = Architecture(p_arch.input_width, tuple(hidden), p_arch.output_width)
+
+    lay_c = layout(child_arch)
+    lay_p = layout(p_arch)
+    lay_d = layout(d_arch)
+    primary = np.arange(lay_p.total_length)
+    donor = np.arange(lay_p.total_length, lay_p.total_length + lay_d.total_length)
+    source = np.empty(lay_c.total_length, dtype=np.int32)
+    pads: list[int] = []
+
+    def fit_rows(rows: np.ndarray, length: int) -> np.ndarray:
+        """Truncate or pad every transferred row to a new length."""
+        short = length - rows.shape[1]
+        if short <= 0:
+            return rows[:, :length]
+        start = lay_p.total_length + lay_d.total_length + sum(pads)
+        pads.append(rows.shape[0] * short)
+        pad = np.arange(start, start + pads[-1]).reshape(rows.shape[0], short)
+        return np.concatenate([rows, pad], axis=1)
+
+    # Everything before the level's incoming weights, and everything after its
+    # outgoing weights (the next layer's bias/reversal blocks onward), comes
+    # from the primary parent, at the same offsets counted from the front and
+    # from the back.
+    t_in, t_out = level - 1, level
+    head = lay_c.transitions[t_in].weight_start
+    source[:head] = primary[:head]
+    tail = lay_c.total_length - lay_c.transitions[t_out].weight_slice.stop
+    source[lay_c.total_length - tail :] = primary[lay_p.total_length - tail :]
+
+    # Incoming transition: columns are the level's neurons. `w` is a view, so
+    # the sources are written straight into `source`.
+    seg, p_seg, d_seg = (lay.transitions[t_in] for lay in (lay_c, lay_p, lay_d))
+    w = source[seg.weight_slice].reshape(seg.w_in, seg.w_out)
+    wp = primary[p_seg.weight_slice].reshape(p_seg.w_in, p_seg.w_out)
+    wd = donor[d_seg.weight_slice].reshape(d_seg.w_in, d_seg.w_out)
+    w[:, :keep] = wp[:, :keep]
+    w[:, keep:] = fit_rows(wd[:, donor_cut:].T, seg.w_in).T
+    for c0, p0, d0 in (
+        (seg.bias_start, p_seg.bias_start, d_seg.bias_start),
+        (seg.rev_start, p_seg.rev_start, d_seg.rev_start),
+    ):
+        source[c0 : c0 + keep] = primary[p0 : p0 + keep]
+        source[c0 + keep : c0 + seg.w_out] = donor[d0 + donor_cut : d0 + d_seg.w_out]
+
+    # Outgoing transition: rows are the level's neurons.
+    seg, p_seg, d_seg = (lay.transitions[t_out] for lay in (lay_c, lay_p, lay_d))
+    w = source[seg.weight_slice].reshape(seg.w_in, seg.w_out)
+    wp = primary[p_seg.weight_slice].reshape(p_seg.w_in, p_seg.w_out)
+    wd = donor[d_seg.weight_slice].reshape(d_seg.w_in, d_seg.w_out)
+    w[:keep, :] = wp[:keep, :]
+    w[keep:, :] = fit_rows(wd[donor_cut:, :], seg.w_out)
+
+    source.setflags(write=False)
+    return child_arch, source, tuple(pads)
 
 
 def _splice(
@@ -303,52 +370,14 @@ def _splice(
     rng: np.random.Generator,
 ) -> NetworkGenome:
     """Child keeping `primary`'s depth, with hidden layer `level` rebuilt from
-    primary bundles [1..keep] followed by donor bundles [donor_cut+1..]."""
-    p_arch, d_arch = primary.architecture, donor.architecture
-    new_width = keep + (d_arch.hidden_widths[level - 1] - donor_cut)
-    hidden = list(p_arch.hidden_widths)
-    hidden[level - 1] = new_width
-    child_arch = Architecture(p_arch.input_width, tuple(hidden), p_arch.output_width)
-
-    lay_c = layout(child_arch)
-    lay_p = layout(p_arch)
-    lay_d = layout(d_arch)
-    phases = np.empty(lay_c.total_length)
-
-    # Everything before the level's incoming weights, and everything after its
-    # outgoing weights (the next layer's bias/reversal blocks onward), is
-    # copied from the primary parent, at the same offsets counted from the
-    # front and from the back.
-    t_in, t_out = level - 1, level
-    head = lay_c.transitions[t_in].weight_start
-    phases[:head] = primary.phases[:head]
-    tail = lay_c.total_length - lay_c.transitions[t_out].weight_slice.stop
-    phases[lay_c.total_length - tail :] = primary.phases[lay_p.total_length - tail :]
-
-    # Incoming transition: columns are the level's neurons. `w` is a view, so
-    # the weights are written straight into the child's phases.
-    seg, p_seg, d_seg = (lay.transitions[t_in] for lay in (lay_c, lay_p, lay_d))
-    w = phases[seg.weight_slice].reshape(seg.w_in, seg.w_out)
-    wp = primary.phases[p_seg.weight_slice].reshape(p_seg.w_in, p_seg.w_out)
-    wd = donor.phases[d_seg.weight_slice].reshape(d_seg.w_in, d_seg.w_out)
-    w[:, :keep] = wp[:, :keep]
-    w[:, keep:] = _fit_rows(wd[:, donor_cut:].T, seg.w_in, rng).T
-    for c0, p0, d0 in (
-        (seg.bias_start, p_seg.bias_start, d_seg.bias_start),
-        (seg.rev_start, p_seg.rev_start, d_seg.rev_start),
-    ):
-        phases[c0 : c0 + keep] = primary.phases[p0 : p0 + keep]
-        phases[c0 + keep : c0 + seg.w_out] = donor.phases[d0 + donor_cut : d0 + d_seg.w_out]
-
-    # Outgoing transition: rows are the level's neurons.
-    seg, p_seg, d_seg = (lay.transitions[t_out] for lay in (lay_c, lay_p, lay_d))
-    w = phases[seg.weight_slice].reshape(seg.w_in, seg.w_out)
-    wp = primary.phases[p_seg.weight_slice].reshape(p_seg.w_in, p_seg.w_out)
-    wd = donor.phases[d_seg.weight_slice].reshape(d_seg.w_in, d_seg.w_out)
-    w[:keep, :] = wp[:keep, :]
-    w[keep:, :] = _fit_rows(wd[donor_cut:, :], seg.w_out, rng)
-
-    return NetworkGenome(child_arch, phases)
+    primary bundles [1..keep] followed by donor bundles [donor_cut+1..].
+    Transferred rows are truncated or padded with uniform draws in
+    [-pi/2, pi/2] to the child's adjacent-layer widths."""
+    child_arch, source, pads = _splice_plan(
+        primary.architecture, donor.architecture, level, keep, donor_cut
+    )
+    draws = [rng.uniform(-HALF_PI, HALF_PI, size) for size in pads]
+    return NetworkGenome(child_arch, np.concatenate([primary.phases, donor.phases, *draws])[source])
 
 
 def recombine(

@@ -33,16 +33,13 @@ contiguous memory:
   Every hidden block gets the same -1 row for the next transition.
 - A hidden neuron's gate multiplies its outgoing weight row in the
   per-genome phasor copy, so the block carries conj(U)/|U| and never the
-  gate.
-- Transition t computes conj(U) instead of U when t is odd, by
-  conjugating its gate-scaled [W; b] phasors. Each hidden block is then
-  just C/|C| of the product C it holds, with no conj pass over the rows,
-  and the output is Im(g' * C)^2 / |C|^2, g' being the output gate,
-  conjugated when the output transition is even.
+  gate: after the product, |U| goes into a float block and U is conjugated
+  and scaled by 1/|U| in place. The output is Im(g * conj(U))^2 / |U|^2,
+  g being the output gate.
 - The blocks live in a per-thread workspace of two complex buffers of
   rows * (widest hidden layer + 1) entries, replaced by larger ones when a
   call needs more and reused otherwise. A transition writes its product
-  into one buffer and |C| into the float view of the other, whose block the
+  into one buffer and |U| into the float view of the other, whose block the
   product has just consumed. Predictions are returned in a new array.
 """
 
@@ -307,31 +304,30 @@ def forward_states(
     phasor = _phasors(genome)
     a, b = _workspace_buffers(rows * (max(arch.hidden_widths) + 1))
     block = states.T
-    for t, seg in enumerate(layout(arch).transitions):
+    for seg in layout(arch).transitions:
         w = seg.w_out
         size = w * rows
         # [W; b] for a hidden destination, whose bias block follows its
         # weights; W alone for the output, which so skips the -1 row.
         weights = phasor[seg.weight_start : seg.rev_start].reshape(-1, w)
-        if t % 2:
-            weights = weights.conj()  # this product is conj(U)
-        c = np.matmul(weights.T, block[: len(weights)], out=a[:size].reshape(w, rows))
-        # The product has consumed `block`, so b is free for |c|.
-        mag = np.abs(c, out=b.view(float)[:size].reshape(w, rows))
+        u = np.matmul(weights.T, block[: len(weights)], out=a[:size].reshape(w, rows))
+        # The product has consumed `block`, so b is free for |u|.
+        mag = np.abs(u, out=b.view(float)[:size].reshape(w, rows))
         if not mag.all():
             zero = mag == 0.0
             if diag is not None:
                 diag.degenerate_args += int(np.count_nonzero(zero))
-            c[zero] = 1.0  # arg 0: the state becomes the gate phase
+            u[zero] = 1.0  # arg 0: the state becomes the gate phase
             mag[zero] = 1.0
         if not seg.has_bias:  # the output transition, always the last
             break
-        c *= np.reciprocal(mag, out=mag)
+        np.conjugate(u, out=u)
+        u *= np.reciprocal(mag, out=mag)
         block = a[: size + rows].reshape(w + 1, rows)
         block[w] = -1.0
         a, b = b, a
-    gate = phasor[seg.rev_start] if t % 2 else phasor[seg.rev_start].conjugate()
-    im = gate.real * c.imag[0] + gate.imag * c.real[0]
+    gate = phasor[seg.rev_start]
+    im = gate.imag * u.real[0] - gate.real * u.imag[0]
     im /= mag[0]
     return np.square(im, out=im)
 

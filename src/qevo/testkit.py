@@ -51,6 +51,15 @@ def oracle_forward(genome: NetworkGenome, row) -> float:
     block, then a reversal block. States are (re, im) tuples; a zero
     accumulation takes argument 0 via atan2(0, 0).
     """
+    return oracle_forward_conditioned(genome, row)[0]
+
+
+def oracle_forward_conditioned(genome: NetworkGenome, row) -> tuple[float, float]:
+    """`oracle_forward` plus the row's condition number: the largest
+    sum(|term|) / |U| over its neurons, every term being unit-modulus. Rounding
+    in a sum moves arg(U) by about that many ulps, so two correct passes
+    may differ by that factor more on the row than on a well-conditioned one.
+    A zero sum gives inf."""
     arch = genome.architecture
     widths = [arch.input_width, *arch.hidden_widths, arch.output_width]
     phases = [float(p) for p in genome.phases]
@@ -59,6 +68,7 @@ def oracle_forward(genome: NetworkGenome, row) -> float:
         raise ValueError(f"row width {len(row)} != input width {arch.input_width}")
 
     states = [(math.cos(math.pi / 2 * d), math.sin(math.pi / 2 * d)) for d in row]
+    condition = 1.0
     pos = 0
     for t in range(len(widths) - 1):
         w_in, w_out = widths[t], widths[t + 1]
@@ -84,10 +94,13 @@ def oracle_forward(genome: NetworkGenome, row) -> float:
             if bias is not None:
                 u_re -= math.cos(bias[j])
                 u_im -= math.sin(bias[j])
+            magnitude = math.hypot(u_re, u_im)
+            terms = w_in + (bias is not None)
+            condition = max(condition, terms / magnitude if magnitude else math.inf)
             gate = 1.0 / (1.0 + math.exp(-rev[j]))
             psi = (math.pi / 2) * gate - math.atan2(u_im, u_re)
             if is_output:
-                return math.sin(psi) ** 2
+                return math.sin(psi) ** 2, condition
             next_states.append((math.cos(psi), math.sin(psi)))
         states = next_states
     raise AssertionError("unreachable: network has at least one transition")

@@ -15,7 +15,6 @@ import pytest
 from qevo import cli, dataset, evolve, metrics, network, testkit, trace_io
 from qevo.evolve import TrainingConfig, TrainingMode, recombine, train, update_probabilities
 from qevo.network import Architecture, forward, random_genome
-from qevo.testkit import activate
 
 from conftest import positive_trace, sine_series, write_trace_csv
 
@@ -76,11 +75,29 @@ def test_criterion_01_forward_oracle_equivalence():
 
 
 def test_criterion_02_unit_modulus():
+    # Input states over the encoded range [0, 1], with margins for test data
+    # normalized outside it.
+    rows = np.linspace(-0.5, 1.5, 10_000).reshape(-1, 2)
+    states = network.input_states(rows)
+    assert np.all(states[:, -1] == -1.0)
+    worst_input = float(np.max(np.abs(np.abs(states[:, :-1]) - 1.0)))
+
+    # Hidden states as forward_states leaves them in its workspace. With one
+    # hidden layer of width 3 over n rows, the hidden block fills the first
+    # 3n entries of the first buffer; the output transition then writes |U|
+    # over its first n/2 entries only, so neurons 2 and 3 stay readable.
     rng = np.random.default_rng(102)
-    phases = rng.uniform(-20 * math.pi, 20 * math.pi, 10_000)
-    worst = float(np.max(np.abs(np.abs(activate(phases)) - 1.0)))
-    assert worst <= 1e-12
-    _passed(f"criterion 2: |activate(psi)| = 1 within {worst:.2e} over 10^4 phases")
+    n = 5_000
+    genome = random_genome(Architecture(4, (3,)), rng)
+    network.forward_states(genome, network.input_states(rng.random((n, 4))))
+    hidden = network._workspace.buffers[0][n : 3 * n]
+    worst_hidden = float(np.max(np.abs(np.abs(hidden) - 1.0)))
+
+    assert worst_input <= 1e-12 and worst_hidden <= 1e-12
+    _passed(
+        f"criterion 2: |state| = 1 within {worst_input:.2e} over 10^4 input states"
+        f" and {worst_hidden:.2e} over 10^4 hidden states"
+    )
 
 
 def test_criterion_03_elitist_monotonicity():

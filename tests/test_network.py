@@ -231,9 +231,15 @@ def test_forward_states_rejects_states_without_the_minus_one_column():
         forward_states(g, np.exp(1j * (math.pi / 2) * rows))
 
 
-# Derandomized: a fixed example set keeps the 1e-12 oracle bound from
-# drawing, on some run, one of the rare rows whose sum nearly cancels.
-@settings(max_examples=25, deadline=None, derandomize=True)
+def _oracle_bound(genome, row):
+    """The oracle's prediction and a deviation bound of 1e-12 scaled by how
+    ill-conditioned the row's sums are, so a nearly cancelling sum does not
+    fail a correct pass."""
+    expected, condition = testkit.oracle_forward_conditioned(genome, row)
+    return expected, 1e-12 * condition
+
+
+@settings(max_examples=25, deadline=None)
 @given(
     calls=st.lists(
         st.tuples(
@@ -269,7 +275,8 @@ def test_forward_states_reuses_its_workspace_across_sizes(calls, seed):
         kept = pool.submit(run).result(timeout=120)
     for (genome, rows), preds in zip(cases, kept):
         for i in rng.choice(len(rows), size=min(3, len(rows)), replace=False):
-            assert abs(preds[i] - testkit.oracle_forward(genome, rows[i])) <= 1e-12
+            expected, bound = _oracle_bound(genome, rows[i])
+            assert abs(preds[i] - expected) <= bound
 
 
 def test_forward_results_never_alias_the_workspace():
@@ -307,8 +314,9 @@ def test_forward_states_in_concurrent_threads():
     assert all(r == expected for r in results)
 
 
-def _check_against_oracle(genome, rows):
-    """forward_states over `rows` vs the scalar oracle, row by row; returns the
+def _check_against_oracle(genome, rows, conditioned=False):
+    """forward_states over `rows` vs the scalar oracle, row by row, within
+    1e-12, or within `_oracle_bound` when `conditioned`; returns the
     degenerate count and checks the shared input states are left untouched."""
     states = input_states(rows)
     before = states.copy()
@@ -316,7 +324,11 @@ def _check_against_oracle(genome, rows):
     preds = forward_states(genome, states, diag)
     assert np.array_equal(states, before)
     for row, pred in zip(rows, preds):
-        assert abs(pred - testkit.oracle_forward(genome, row)) <= 1e-12
+        if conditioned:
+            expected, bound = _oracle_bound(genome, row)
+        else:
+            expected, bound = testkit.oracle_forward(genome, row), 1e-12
+        assert abs(pred - expected) <= bound
     return diag.degenerate_args
 
 
@@ -330,7 +342,7 @@ def _check_against_oracle(genome, rows):
 def test_forward_states_matches_oracle_on_random_architectures(input_width, hidden, rows, seed):
     rng = np.random.default_rng(seed)
     genome = random_genome(Architecture(input_width, tuple(hidden)), rng)
-    assert _check_against_oracle(genome, rng.random((rows, input_width))) == 0
+    assert _check_against_oracle(genome, rng.random((rows, input_width)), conditioned=True) == 0
 
 
 def _with_zero_rows(rng, random_rows: int, zero_rows: int) -> np.ndarray:
