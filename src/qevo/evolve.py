@@ -169,13 +169,6 @@ def _stream(seed: int, generation: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, generation, index)))
 
 
-def _eval(fitness_fn, genome) -> tuple[float, int]:
-    result = fitness_fn(genome)
-    if isinstance(result, tuple):
-        return float(result[0]), int(result[1])
-    return float(result), 0
-
-
 def sample_modulation_rate(
     rng: np.random.Generator, mean: float = 0.5, std: float = 0.3
 ) -> float:
@@ -458,7 +451,7 @@ def init_population(config: TrainingConfig, fitness_fn) -> tuple[Population, int
         return network.random_genome(arch, rng)
 
     candidates = [build(i) for i in range(config.population_size)]
-    results = [_eval(fitness_fn, g) for g in candidates]
+    results = [fitness_fn(g) for g in candidates]
     fitness = np.array([fit for fit, _ in results])
     degenerate = sum(deg for _, deg in results)
     return (
@@ -487,8 +480,8 @@ def _step_candidate(
     rate = sample_modulation_rate(rng, config.rate_mean, config.rate_std)
     delta = modulate(strategy, index, population, best, rate, rng)
     child1, child2 = recombine(population.candidates[index], delta, rng)
-    f1, d1 = _eval(fitness_fn, child1)
-    f2, d2 = _eval(fitness_fn, child2)
+    f1, d1 = fitness_fn(child1)
+    f2, d2 = fitness_fn(child2)
     genome, fit, succeeded = select_survivor(
         (population.candidates[index], float(population.fitness[index])),
         [(child1, f1), (child2, f2)],
@@ -582,9 +575,9 @@ def train(
 ) -> tuple[NetworkGenome, TrainingReport]:
     """Run the full training loop and return the best genome plus a report.
 
-    `fitness_fn(genome)` must return a fitness or a (fitness, diagnostics
-    count) pair; when omitted it defaults to training-set RMSE over
-    `train_data`. `checkpoint_dir` writes one resumable checkpoint per
+    `fitness_fn(genome)` must return a (fitness, degenerate-argument count)
+    pair, as `DatasetFitness` does; when omitted it defaults to training-set
+    RMSE over `train_data`. `checkpoint_dir` writes one resumable checkpoint per
     generation; `resume` continues a run and reproduces the uninterrupted
     result exactly.
     """

@@ -76,26 +76,28 @@ def test_criterion_01_forward_oracle_equivalence():
 
 def test_criterion_02_unit_modulus():
     # Input states over the encoded range [0, 1], with margins for test data
-    # normalized outside it.
+    # normalized outside it: cos^2 + sin^2 of each state's two planes.
     rows = np.linspace(-0.5, 1.5, 10_000).reshape(-1, 2)
     states = network.input_states(rows)
     assert np.all(states[:, -1] == -1.0)
-    worst_input = float(np.max(np.abs(np.abs(states[:, :-1]) - 1.0)))
+    worst_input = float(np.max(np.abs(states[:, :2] ** 2 + states[:, 2:4] ** 2 - 1.0)))
 
     # Hidden states as forward_states leaves them in its workspace. With one
-    # hidden layer of width 3 over n rows, the hidden block fills the first
-    # 3n entries of the first buffer; the output transition then writes |U|
-    # over its first n/2 entries only, so neurons 2 and 3 stay readable.
+    # hidden layer of width 4 over n rows, the hidden block (4 cos rows, 4
+    # sin rows, a -1 row) fills the first 9n entries of the first buffer; the
+    # output transition then writes its squares over the first 2n entries
+    # only, so the cos and sin rows of neurons 3 and 4 stay readable.
     rng = np.random.default_rng(102)
     n = 5_000
-    genome = random_genome(Architecture(4, (3,)), rng)
+    genome = random_genome(Architecture(4, (4,)), rng)
     network.forward_states(genome, network.input_states(rng.random((n, 4))))
-    hidden = network._workspace.buffers[0][n : 3 * n]
-    worst_hidden = float(np.max(np.abs(np.abs(hidden) - 1.0)))
+    hidden = network._workspace.buffers[0][: 9 * n].reshape(9, n)
+    assert np.all(hidden[8] == -1.0)
+    worst_hidden = float(np.max(np.abs(hidden[2:4] ** 2 + hidden[6:8] ** 2 - 1.0)))
 
     assert worst_input <= 1e-12 and worst_hidden <= 1e-12
     _passed(
-        f"criterion 2: |state| = 1 within {worst_input:.2e} over 10^4 input states"
+        f"criterion 2: cos^2 + sin^2 = 1 within {worst_input:.2e} over 10^4 input states"
         f" and {worst_hidden:.2e} over 10^4 hidden states"
     )
 

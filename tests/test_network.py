@@ -207,6 +207,12 @@ def test_forward_dimension_mismatch():
         forward(g, [0.1, 0.2])
 
 
+def test_forward_batch_over_no_rows_is_empty():
+    g = random_genome(Architecture(3, (2, 4)), np.random.default_rng(14))
+    preds = forward_batch(g, np.empty((0, 3)))
+    assert preds.shape == (0,) and preds.dtype == np.float64
+
+
 def test_forward_batch_counts_degenerates():
     g = zeros_genome(Architecture(1, (1,)))
     rows = np.zeros((7, 1))
@@ -218,17 +224,19 @@ def test_forward_batch_counts_degenerates():
 def test_input_states_is_a_read_only_view_with_a_minus_one_column():
     rows = np.random.default_rng(6).random((5, 3))
     states = input_states(rows)
-    assert states.shape == (5, 4) and states.dtype == complex
+    assert states.shape == (5, 7) and states.dtype == np.float64
     assert states.T.flags.c_contiguous and not states.flags.writeable
-    assert np.array_equal(states[:, :3], np.exp(1j * (math.pi / 2) * rows))
-    assert np.array_equal(states[:, 3], np.full(5, -1.0 + 0j))
+    phases = encode_input(rows)
+    assert np.array_equal(states[:, :3], np.cos(phases))
+    assert np.array_equal(states[:, 3:6], np.sin(phases))
+    assert np.array_equal(states[:, 6], np.full(5, -1.0))
 
 
 def test_forward_states_rejects_states_without_the_minus_one_column():
     g = random_genome(Architecture(3, (2,)), np.random.default_rng(7))
-    rows = np.random.default_rng(8).random((4, 3))
+    states = input_states(np.random.default_rng(8).random((4, 3)))
     with pytest.raises(DimensionMismatchError):
-        forward_states(g, np.exp(1j * (math.pi / 2) * rows))
+        forward_states(g, states[:, :6])
 
 
 def _oracle_bound(genome, row):
@@ -410,6 +418,20 @@ def test_zero_sum_at_the_output(depth, gate, random_rows, zero_rows, seed):
     genome = NetworkGenome(arch, phases)
     count = _check_against_oracle(genome, _with_zero_rows(rng, random_rows, zero_rows))
     assert count == (depth + 1) * zero_rows
+
+
+def test_a_nonzero_sum_whose_square_underflows_is_not_degenerate():
+    # Weight and bias phases 0 on a width-1 input: U = exp(i*(pi/2)*x) - 1.
+    # At x = 1e-200, U = i*1.57e-200 is not zero, but |U|^2 underflows to 0;
+    # at x = 1e-150, |U|^2 is still a normal float; at x = 0, U is exactly 0
+    # at each of the three hidden neurons.
+    arch = Architecture(1, (3,))
+    phases = random_genome(arch, np.random.default_rng(13)).phases.copy()
+    seg = layout(arch).transitions[0]
+    phases[seg.weight_start : seg.rev_start] = 0.0
+    genome = NetworkGenome(arch, phases)
+    rows = np.array([[1e-200], [1e-150], [0.0], [0.3]])
+    assert _check_against_oracle(genome, rows) == 3
 
 
 # ---------------------------------------------------------------- serialization
