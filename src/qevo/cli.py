@@ -103,7 +103,7 @@ _CONFIG_KEYS = {f.name: _PARSE.get(type(f.default), str) for f in fields(RunConf
 
 def _thread_cap() -> None:
     """Reject a malformed QEVO_THREADS. The value itself no longer reaches
-    training: every evaluation runs in one loop."""
+    training, which runs on one thread."""
     raw = os.environ.get("QEVO_THREADS", "1")
     try:
         threads = int(raw)

@@ -8,9 +8,14 @@ matches or beats it (elitist adoption, so the population best never gets
 worse). Success/failure counters per strategy re-derive the selection
 probabilities at the end of every generation.
 
+A generation runs in three phases: vary every candidate (strategy, rate,
+modulation, recombination), evaluate every child, then select every
+survivor and update the counters, each phase in candidate order.
+
 Determinism: every random draw for candidate i in generation g comes from a
 stream seeded by (seed, g, i), so a candidate's step depends on nothing but
-the generation it starts from, and results are bit-identical across runs.
+the generation it starts from and the probabilities fixed at its start, and
+results are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import base64
 import enum
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -67,7 +73,6 @@ class Population:
     candidates: list[NetworkGenome]
     fitness: np.ndarray
     best_index: int
-    generation: int
 
     @property
     def best(self) -> NetworkGenome:
@@ -165,8 +170,61 @@ class DatasetFitness:
         return rmse(self._targets, preds), diag.degenerate_args
 
 
-def _stream(seed: int, generation: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, generation, index)))
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+# np.random.SeedSequence's hash and mix constants, and PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _streams(seed: int, generation: int, indices: range):
+    """Yield, for each i in `indices` (each below 2**32), a generator in the
+    state of np.random.default_rng(np.random.SeedSequence((seed, generation, i))).
+
+    SeedSequence's mix_entropy and generate_state(4, uint64) run for all
+    indices at once in uint32; PCG64 then seeds from the words v as
+    inc = 2*v[2:4] + 1, state = (v[0:2] + inc) * mult + inc, mod 2**128. One
+    Generator is reseeded in place each time, so finish with a stream before
+    drawing the next.
+    """
+    if indices and max(indices) > _MASK32:
+        raise ValueError("stream indices must be below 2**32")
+    # An int is its little-endian 32-bit words; 0 is one word.
+    entropy = [
+        np.full(len(indices), n >> shift & _MASK32, np.uint32)
+        for n in (seed, generation)
+        for shift in range(0, max(n.bit_length(), 1), 32)
+    ] + [np.asarray(indices, dtype=np.uint32)]
+    const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(dst: int, value: np.ndarray) -> None:
+        pool[dst] = pool[dst] * _MIX_L - hashmix(value) * _MIX_R
+        pool[dst] ^= pool[dst] >> 16
+
+    pool = [hashmix(word) for word in (entropy + [np.zeros_like(entropy[-1])])[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        mix(dst, pool[src])
+    # Entropy longer than the pool: a seed or generation of 2**32 or more.
+    for word, dst in itertools.product(entropy[4:], range(4)):
+        mix(dst, word)
+    const, mult = _INIT_B, _MULT_B
+    words = np.array([hashmix(pool[k % 4]) for k in range(8)], dtype=np.uint64)
+    halves = (words[0::2] | words[1::2] << 32).tolist()
+
+    rng = np.random.Generator(np.random.PCG64(0))
+    for hi, lo, inc_hi, inc_lo in zip(*halves):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = (((hi << 64 | lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def sample_modulation_rate(
@@ -370,7 +428,10 @@ def _splice(
         primary.architecture, donor.architecture, level, keep, donor_cut
     )
     draws = [rng.uniform(-HALF_PI, HALF_PI, size) for size in pads]
-    return NetworkGenome(child_arch, np.concatenate([primary.phases, donor.phases, *draws])[source])
+    # Every entry is a validated parent's phase or a finite draw, and the
+    # plan gives the layout's length, so the child skips re-validation.
+    phases = np.concatenate([primary.phases, donor.phases, *draws])[source]
+    return NetworkGenome._trusted(child_arch, phases)
 
 
 def recombine(
@@ -433,60 +494,20 @@ def _sample_architecture(config: TrainingConfig, rng: np.random.Generator) -> Ar
     return Architecture(config.window_size, tuple(int(w) for w in widths))
 
 
-def _shared_architecture(config: TrainingConfig) -> Architecture:
-    rng = _stream(config.seed, 0, config.population_size)
-    return _sample_architecture(config, rng)
-
-
 def init_population(config: TrainingConfig, fitness_fn) -> tuple[Population, int]:
     """Generation-0 population: sampled architectures (one shared architecture
     in the fixed modes), random genomes, fitness evaluated."""
-    shared = None
+    shared, p = None, config.population_size
     if config.mode is not TrainingMode.FULL:
-        shared = _shared_architecture(config)
-
-    def build(i: int) -> NetworkGenome:
-        rng = _stream(config.seed, 0, i)
+        shared = _sample_architecture(config, next(_streams(config.seed, 0, range(p, p + 1))))
+    candidates = []
+    for rng in _streams(config.seed, 0, range(p)):
         arch = shared if shared is not None else _sample_architecture(config, rng)
-        return network.random_genome(arch, rng)
-
-    candidates = [build(i) for i in range(config.population_size)]
+        candidates.append(network.random_genome(arch, rng))
     results = [fitness_fn(g) for g in candidates]
     fitness = np.array([fit for fit, _ in results])
     degenerate = sum(deg for _, deg in results)
-    return (
-        Population(
-            candidates=candidates,
-            fitness=fitness,
-            best_index=int(np.argmin(fitness)),
-            generation=0,
-        ),
-        degenerate,
-    )
-
-
-def _step_candidate(
-    config: TrainingConfig,
-    generation: int,
-    index: int,
-    population: Population,
-    best: NetworkGenome,
-    state: StrategyState,
-    fitness_fn,
-):
-    rng = _stream(config.seed, generation, index)
-    mss = float(rng.random())
-    strategy = select_strategy(mss, state)
-    rate = sample_modulation_rate(rng, config.rate_mean, config.rate_std)
-    delta = modulate(strategy, index, population, best, rate, rng)
-    child1, child2 = recombine(population.candidates[index], delta, rng)
-    f1, d1 = fitness_fn(child1)
-    f2, d2 = fitness_fn(child2)
-    genome, fit, succeeded = select_survivor(
-        (population.candidates[index], float(population.fitness[index])),
-        [(child1, f1), (child2, f2)],
-    )
-    return genome, fit, strategy, succeeded, d1 + d2
+    return Population(candidates, fitness, int(np.argmin(fitness))), degenerate
 
 
 @dataclass
@@ -542,12 +563,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         candidates.append(network.genome_from_bytes(base64.b64decode(entry["genome"])))
         fitness.append(entry["fitness"])
     fitness = np.array(fitness)
-    population = Population(
-        candidates=candidates,
-        fitness=fitness,
-        best_index=int(np.argmin(fitness)),
-        generation=payload["next_generation"] - 1,
-    )
+    population = Population(candidates, fitness, int(np.argmin(fitness)))
     return Checkpoint(
         seed=payload["seed"],
         mode=payload["mode"],
@@ -567,24 +583,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 def train(
     config: TrainingConfig,
-    train_data: WindowedDataset | None = None,
-    fitness_fn=None,
+    train_data: WindowedDataset,
     *,
     checkpoint_dir: str | Path | None = None,
     resume: Checkpoint | None = None,
 ) -> tuple[NetworkGenome, TrainingReport]:
     """Run the full training loop and return the best genome plus a report.
 
-    `fitness_fn(genome)` must return a (fitness, degenerate-argument count)
-    pair, as `DatasetFitness` does; when omitted it defaults to training-set
-    RMSE over `train_data`. `checkpoint_dir` writes one resumable checkpoint per
-    generation; `resume` continues a run and reproduces the uninterrupted
-    result exactly.
+    Fitness is training-set RMSE over `train_data` (`DatasetFitness`).
+    `checkpoint_dir` writes one resumable checkpoint per generation; `resume`
+    continues a run and reproduces the uninterrupted result exactly.
     """
-    if fitness_fn is None:
-        if train_data is None:
-            raise ValueError("provide train_data or an explicit fitness_fn")
-        fitness_fn = DatasetFitness(train_data)
+    fitness_fn = DatasetFitness(train_data)
 
     if resume is not None:
         if resume.seed != config.seed or resume.mode != config.mode.value:
@@ -609,29 +619,34 @@ def train(
     for gen in range(start_gen, config.generations + 1):
         if config.mode is TrainingMode.FIXED_ALL:
             trajectory.append(population.best_fitness)
-            population.generation = gen
         else:
+            # Vary: strategy, perturbed genome and two children per candidate.
+            best = population.best
+            steps = []
+            for i, rng in enumerate(_streams(config.seed, gen, range(config.population_size))):
+                strategy = select_strategy(float(rng.random()), state)
+                rate = sample_modulation_rate(rng, config.rate_mean, config.rate_std)
+                delta = modulate(strategy, i, population, best, rate, rng)
+                steps.append((strategy, recombine(population.candidates[i], delta, rng)))
+            # Evaluate: every child, scored as soon as its pass returns.
+            scores = [[fitness_fn(child) for child in pair] for _, pair in steps]
+            # Select: elitist adoption and the strategy counters.
             candidates = []
             fitness = np.empty(config.population_size)
-            for i in range(config.population_size):
-                genome, fit, strategy, succeeded, deg = _step_candidate(
-                    config, gen, i, population, population.best, state, fitness_fn
+            for i, ((strategy, pair), scored) in enumerate(zip(steps, scores)):
+                genome, fitness[i], succeeded = select_survivor(
+                    (population.candidates[i], float(population.fitness[i])),
+                    [(child, fit) for child, (fit, _) in zip(pair, scored)],
                 )
                 candidates.append(genome)
-                fitness[i] = fit
-                degenerate += deg
+                degenerate += sum(deg for _, deg in scored)
                 k = STRATEGIES.index(strategy)
                 if succeeded:
                     state.successes[k] += 1
                     success_totals[strategy.value] += 1
                 else:
                     state.failures[k] += 1
-            population = Population(
-                candidates=candidates,
-                fitness=fitness,
-                best_index=int(np.argmin(fitness)),
-                generation=gen,
-            )
+            population = Population(candidates, fitness, int(np.argmin(fitness)))
             state = update_probabilities(state)
             prob_trajectory.append(state.probs)
             trajectory.append(population.best_fitness)

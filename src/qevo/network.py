@@ -197,17 +197,15 @@ class NetworkGenome:
             self.phases, other.phases
         )
 
-    def weight_matrix(self, t: int) -> np.ndarray:
-        seg = layout(self.architecture).transitions[t]
-        return self.phases[seg.weight_slice].reshape(seg.w_in, seg.w_out)
-
-    def bias_vector(self, t: int) -> np.ndarray | None:
-        seg = layout(self.architecture).transitions[t]
-        return None if not seg.has_bias else self.phases[seg.bias_slice]
-
-    def reversal_vector(self, t: int) -> np.ndarray:
-        seg = layout(self.architecture).transitions[t]
-        return self.phases[seg.rev_slice]
+    @classmethod
+    def _trusted(cls, architecture: Architecture, phases: np.ndarray) -> NetworkGenome:
+        """Wrap a new, finite, C-contiguous float64 vector of the layout's length
+        without re-checking it, and make it read-only. For internal children."""
+        genome = object.__new__(cls)
+        phases.setflags(write=False)
+        object.__setattr__(genome, "architecture", architecture)
+        object.__setattr__(genome, "phases", phases)
+        return genome
 
 
 def random_genome(arch: Architecture, rng: np.random.Generator) -> NetworkGenome:

@@ -97,7 +97,9 @@ def oracle_forward_conditioned(genome: NetworkGenome, row) -> tuple[float, float
             magnitude = math.hypot(u_re, u_im)
             terms = w_in + (bias is not None)
             condition = max(condition, terms / magnitude if magnitude else math.inf)
-            gate = 1.0 / (1.0 + math.exp(-rev[j]))
+            # The sigmoid on each side of 0, so exp never overflows.
+            e = math.exp(-abs(rev[j]))
+            gate = 1.0 / (1.0 + e) if rev[j] >= 0.0 else e / (1.0 + e)
             psi = (math.pi / 2) * gate - math.atan2(u_im, u_re)
             if is_output:
                 return math.sin(psi) ** 2, condition

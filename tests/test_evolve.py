@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qevo import dataset, evolve
 from qevo.errors import (
@@ -40,7 +42,6 @@ def make_population(genomes, fitness=None):
         candidates=list(genomes),
         fitness=fitness,
         best_index=int(np.argmin(fitness)),
-        generation=0,
     )
 
 
@@ -231,15 +232,41 @@ def test_recombine_moves_whole_bundles():
     p2 = const_genome(Architecture(2, (3,)), 2.0)
     c1, _ = recombine(p1, p2, np.random.default_rng(0), level=1, cut_fraction=1 / 3)
     assert c1.architecture.hidden_widths == (3,)
-    w_in = c1.weight_matrix(0)
+    hidden, output = layout(c1.architecture).transitions
+    w_in = c1.phases[hidden.weight_slice].reshape(hidden.w_in, hidden.w_out)
     assert np.array_equal(w_in[:, :2], np.ones((2, 2)))
     assert np.array_equal(w_in[:, 2], np.full(2, 2.0))
-    assert c1.bias_vector(0).tolist() == [1.0, 1.0, 2.0]
-    assert c1.reversal_vector(0).tolist() == [1.0, 1.0, 2.0]
-    w_out = c1.weight_matrix(1)
+    assert c1.phases[hidden.bias_slice].tolist() == [1.0, 1.0, 2.0]
+    assert c1.phases[hidden.rev_slice].tolist() == [1.0, 1.0, 2.0]
+    w_out = c1.phases[output.weight_slice].reshape(output.w_in, output.w_out)
     assert w_out[:, 0].tolist() == [1.0, 1.0, 2.0]
     # the output layer's own reversal stays with the primary parent
-    assert c1.reversal_vector(1).tolist() == [1.0]
+    assert c1.phases[output.rev_slice].tolist() == [1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    input_width=st.integers(1, 6),
+    hidden=st.lists(st.lists(st.integers(1, 8), min_size=1, max_size=4), min_size=2, max_size=2),
+    scale=st.sampled_from([1.0, 1e300]),
+    draw=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spliced_children_equal_validated_genomes(input_width, hidden, scale, draw, seed):
+    # Children skip NetworkGenome's checks; they must pass them all the same.
+    rng = np.random.default_rng(seed)
+    p1, p2 = (
+        NetworkGenome(arch, scale * random_genome(arch, rng).phases)
+        for arch in (Architecture(input_width, tuple(h)) for h in hidden)
+    )
+    level = draw.draw(st.integers(1, min(len(h) for h in hidden)))
+    cut = draw.draw(st.floats(0.0, 1.0, exclude_max=True))
+    for child in recombine(p1, p2, rng, level=level, cut_fraction=cut):
+        assert child.phases.shape == (layout(child.architecture).total_length,)
+        assert child.phases.dtype == np.float64 and child.phases.flags.c_contiguous
+        assert not child.phases.flags.writeable
+        assert np.isfinite(child.phases).all()
+        assert child == NetworkGenome(child.architecture, child.phases.copy())
 
 
 def test_recombine_pads_transferred_vectors():
@@ -295,6 +322,26 @@ def test_select_survivor_first_of_equal_children():
     a, b = const_genome(arch, 1.0), const_genome(arch, 2.0)
     genome, _, _ = select_survivor((const_genome(arch, 0.0), 0.9), [(a, 0.5), (b, 0.5)])
     assert genome is a
+
+
+# ------------------------------------------------------- random streams
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("generation", [0, 1, 2**32])
+def test_streams_match_seed_sequence(seed, generation):
+    # Each index's integers() draw leaves half a 64-bit word buffered, so the
+    # next index also checks that reseeding clears it.
+    for i, rng in enumerate(evolve._streams(seed, generation, range(9))):
+        ref = np.random.default_rng(np.random.SeedSequence((seed, generation, i)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+        assert rng.normal() == ref.normal()
+        assert rng.integers(1, 5) == ref.integers(1, 5)
+
+
+def test_streams_reject_indices_of_two_words():
+    with pytest.raises(ValueError):
+        next(evolve._streams(0, 0, range(2**32, 2**32 + 1)))
 
 
 # ------------------------------------------------------- population / training

@@ -487,3 +487,34 @@ def test_genome_zero_hidden_width():
     blob[first_width:first_width + 4] = struct.pack("<I", 0)
     with pytest.raises(GenomeFormatError):
         network.genome_from_bytes(bytes(blob))
+
+
+@st.composite
+def genome_blobs(draw):
+    """Bytes of a valid genome, or of one truncated, or with some bytes or one
+    whole phase (possibly NaN or inf) overwritten."""
+    hidden = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    arch = Architecture(draw(st.integers(1, 6)), tuple(hidden))
+    genome = random_genome(arch, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    blob = bytearray(network.genome_to_bytes(genome))
+    edit = draw(st.sampled_from(["none", "truncate", "bytes", "phase"]))
+    if edit == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    elif edit == "bytes":
+        for _ in range(draw(st.integers(1, 4))):
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    elif edit == "phase":
+        at = len(blob) - 8 * draw(st.integers(1, layout(arch).total_length))
+        blob[at:at + 8] = struct.pack("<d", draw(st.floats()))
+    return bytes(blob)
+
+
+@settings(max_examples=400, deadline=None)
+@given(blob=st.one_of(genome_blobs(), st.binary(max_size=120)))
+def test_genome_bytes_round_trip_or_raise_format_error(blob):
+    # File input keeps full validation: whatever loads writes back the same bytes.
+    try:
+        genome = network.genome_from_bytes(blob)
+    except GenomeFormatError:
+        return
+    assert network.genome_to_bytes(genome) == blob

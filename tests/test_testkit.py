@@ -48,6 +48,19 @@ def test_oracle_rejects_bad_row():
         testkit.oracle_forward(genome, [0.1, 0.2])
 
 
+def test_oracle_accepts_reversals_far_below_zero():
+    # exp(800) overflows a float; the gate must still come out near 0.
+    arch = Architecture(2, (2,))
+    phases = random_genome(arch, np.random.default_rng(5)).phases.copy()
+    for seg in layout(arch).transitions:
+        phases[seg.rev_slice] = -800.0
+    genome = NetworkGenome(arch, phases)
+    row = [0.3, 0.7]
+    value = testkit.oracle_forward(genome, row)
+    assert np.isfinite(value)
+    assert abs(value - network.forward(genome, row)) <= 1e-12
+
+
 def test_recombination_validity_report():
     report = testkit.check_recombination_validity(300, np.random.default_rng(7))
     assert report.ok
