@@ -269,10 +269,8 @@ def _write_json(payload: dict, path: Path) -> None:
 def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
     training_config = cfg.training_config()
     series, params, windows, train_ds, test_ds = _prepare_datasets(cfg)
-    best, report = evolve.train(
-        training_config, train_ds, checkpoint_dir=checkpoint_dir
-    )
-    evolve.convergence_monitor(report, patience=max(cfg.generations, 1))
+    best, run = evolve.train(training_config, train_ds, checkpoint_dir=checkpoint_dir)
+    evolve.convergence_monitor(run.fitness_trajectory)
 
     names = cfg.selected_metrics()
     train_pred = network.forward_batch(best, train_ds.inputs)
@@ -297,7 +295,7 @@ def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
             "depth_range": [cfg.depth_min, cfg.depth_max],
         },
         "normalization": {"d_min": params.d_min, "d_max": params.d_max},
-        "training": report.to_dict(),
+        "training": run.to_dict(),
         "metrics": {
             "train": _metric_dict(train_ds.targets, train_pred, names),
             "test": _metric_dict(test_ds.targets, test_pred, names),
@@ -309,7 +307,7 @@ def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
     }
     _write_json(payload, out_dir / "report.json")
     print(
-        f"trained {cfg.mode} mode: best training fitness {report.best_fitness:.6f}, "
+        f"trained {cfg.mode} mode: best training fitness {run.best_fitness:.6f}, "
         f"test rmse {payload['metrics']['test'].get('rmse', float('nan')):.6f}"
     )
     print(f"artifacts in {out_dir}")
@@ -348,13 +346,13 @@ def cmd_ablate(cfg: RunConfig) -> int:
     runs = []
     for mode in modes:
         for seed in seeds:
-            best, report = evolve.train(cfg.training_config(seed=seed, mode=mode), train_ds)
+            best, run = evolve.train(cfg.training_config(seed=seed, mode=mode), train_ds)
             test_pred = network.forward_batch(best, test_ds.inputs)
             runs.append(
                 {
                     "mode": mode,
                     "seed": seed,
-                    "best_training_fitness": report.best_fitness,
+                    "best_training_fitness": run.best_fitness,
                     **_metric_dict(test_ds.targets, test_pred, names),
                 }
             )

@@ -26,7 +26,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from . import network
 from .dataset import WindowedDataset
 from .errors import (
     CheckpointFormatError,
+    GenomeFormatError,
     MonotonicityViolationError,
     PopulationTooSmallError,
 )
@@ -72,7 +73,10 @@ class StrategyState:
 class Population:
     candidates: list[NetworkGenome]
     fitness: np.ndarray
-    best_index: int
+
+    @property
+    def best_index(self) -> int:
+        return int(np.argmin(self.fitness))
 
     @property
     def best(self) -> NetworkGenome:
@@ -90,9 +94,6 @@ class TrainingConfig:
     window_size: int = 10
     hidden_range: tuple[int, int] = (5, 10)
     depth_range: tuple[int, int] = (1, 4)
-    rate_mean: float = 0.5
-    rate_std: float = 0.3
-    initial_probabilities: tuple[float, float, float] = (0.33, 0.33, 0.34)
     seed: int = 0
     mode: TrainingMode = TrainingMode.FULL
 
@@ -107,50 +108,55 @@ class TrainingConfig:
         for lo, hi in (self.hidden_range, self.depth_range):
             if lo < 1 or hi < lo:
                 raise ValueError("ranges must satisfy 1 <= lo <= hi")
-        if not 0.0 < self.rate_mean < 1.0 or self.rate_std <= 0.0:
-            raise ValueError("rate_mean must be in (0,1) and rate_std > 0")
-        p = self.initial_probabilities
-        if len(p) != 3 or any(not 0.0 <= v <= 1.0 for v in p) or abs(sum(p) - 1.0) > 1e-9:
-            raise ValueError("initial probabilities must be a 3-simplex")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
 
 @dataclass
-class TrainingReport:
-    mode: str
+class TrainingRun:
+    """Everything a run carries from one generation to the next.
+
+    `train` advances one record in place, saves it as the per-generation
+    checkpoint and returns it; a resumed run starts from a copy of one. The
+    report's other fields (best fitness, final probabilities and
+    architectures, population size, generations run) are derived from it.
+    """
+
     seed: int
-    population_size: int
-    generations: int
-    best_fitness: float
+    mode: str
+    population: Population
     fitness_trajectory: list[float]
-    probability_trajectory: list[tuple[float, float, float]]
-    final_probabilities: tuple[float, float, float]
-    success_totals: dict[str, int]
     degenerate_args: int
-    final_architectures: list[list[int]]
+    next_generation: int = 1
+    state: StrategyState = field(default_factory=StrategyState)
+    probability_trajectory: list[tuple[float, float, float]] = field(default_factory=list)
+    success_totals: dict[str, int] = field(
+        default_factory=lambda: {s.value: 0 for s in STRATEGIES}
+    )
+
+    @property
+    def best_fitness(self) -> float:
+        return self.population.best_fitness
+
+    @property
+    def final_architectures(self) -> list[list[int]]:
+        return [list(g.architecture.hidden_widths) for g in self.population.candidates]
 
     def to_dict(self) -> dict:
+        """The report's "training" section."""
         return {
             "mode": self.mode,
             "seed": self.seed,
-            "population_size": self.population_size,
-            "generations": self.generations,
+            "population_size": len(self.population.candidates),
+            "generations": self.next_generation - 1,
             "best_fitness": self.best_fitness,
             "fitness_trajectory": self.fitness_trajectory,
             "probability_trajectory": [list(p) for p in self.probability_trajectory],
-            "final_probabilities": list(self.final_probabilities),
+            "final_probabilities": list(self.state.probs),
             "success_totals": self.success_totals,
             "degenerate_args": self.degenerate_args,
             "final_architectures": self.final_architectures,
         }
-
-
-@dataclass(frozen=True)
-class ConvergenceDiagnostics:
-    total_descent: float
-    stagnated: bool
-    longest_plateau: int
 
 
 class DatasetFitness:
@@ -227,12 +233,10 @@ def _streams(seed: int, generation: int, indices: range):
         yield rng
 
 
-def sample_modulation_rate(
-    rng: np.random.Generator, mean: float = 0.5, std: float = 0.3
-) -> float:
-    """Normal(mean, std) redrawn until strictly inside (0, 1)."""
+def sample_modulation_rate(rng: np.random.Generator) -> float:
+    """Normal(0.5, 0.3) redrawn until strictly inside (0, 1)."""
     while True:
-        rate = rng.normal(mean, std)
+        rate = rng.normal(0.5, 0.3)
         if 0.0 < rate < 1.0:
             return float(rate)
 
@@ -507,26 +511,13 @@ def init_population(config: TrainingConfig, fitness_fn) -> tuple[Population, int
     results = [fitness_fn(g) for g in candidates]
     fitness = np.array([fit for fit, _ in results])
     degenerate = sum(deg for _, deg in results)
-    return Population(candidates, fitness, int(np.argmin(fitness))), degenerate
-
-
-@dataclass
-class Checkpoint:
-    seed: int
-    mode: str
-    next_generation: int
-    state: StrategyState
-    population: Population
-    fitness_trajectory: list[float]
-    probability_trajectory: list[tuple[float, float, float]]
-    success_totals: dict[str, int]
-    degenerate_args: int
+    return Population(candidates, fitness), degenerate
 
 
 _CHECKPOINT_SCHEMA = "qevo.checkpoint/1"
 
 
-def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
+def save_checkpoint(checkpoint: TrainingRun, path: str | Path) -> None:
     payload = {
         "schema": _CHECKPOINT_SCHEMA,
         "seed": checkpoint.seed,
@@ -550,34 +541,82 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
+def _numbers(values: list, kind: type, length: int | None = None) -> list:
+    """`values` as `kind`s; TypeError unless every one is a JSON number
+    (an integer where `kind` is int) and there are `length` of them."""
+    allowed = (int, float) if kind is float else int
+    if (length is not None and len(values) != length) or any(
+        isinstance(v, bool) or not isinstance(v, allowed) for v in values
+    ):
+        raise TypeError(f"expected {length or 'a list of'} {kind.__name__} values, got {values!r}")
+    return [kind(v) for v in values]
+
+
+def load_checkpoint(path: str | Path) -> TrainingRun:
+    """Read a `save_checkpoint` file. A missing key, a value of the wrong
+    type, bad base64 or a bad genome raises CheckpointFormatError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CheckpointFormatError(f"cannot read checkpoint {path}: {exc}")
-    if payload.get("schema") != _CHECKPOINT_SCHEMA:
-        raise CheckpointFormatError(f"unexpected checkpoint schema {payload.get('schema')!r}")
-    candidates = []
-    fitness = []
-    for entry in payload["population"]:
-        candidates.append(network.genome_from_bytes(base64.b64decode(entry["genome"])))
-        fitness.append(entry["fitness"])
-    fitness = np.array(fitness)
-    population = Population(candidates, fitness, int(np.argmin(fitness)))
-    return Checkpoint(
-        seed=payload["seed"],
-        mode=payload["mode"],
-        next_generation=payload["next_generation"],
-        state=StrategyState(
-            probs=tuple(payload["probabilities"]),
-            successes=list(payload["successes"]),
-            failures=list(payload["failures"]),
-        ),
-        population=population,
-        fitness_trajectory=list(payload["fitness_trajectory"]),
-        probability_trajectory=[tuple(p) for p in payload["probability_trajectory"]],
-        success_totals=dict(payload["success_totals"]),
-        degenerate_args=int(payload["degenerate_args"]),
+    if not isinstance(payload, dict) or payload.get("schema") != _CHECKPOINT_SCHEMA:
+        raise CheckpointFormatError(f"{path} is not a {_CHECKPOINT_SCHEMA} file")
+    try:
+        entries = payload["population"]
+        candidates = [
+            network.genome_from_bytes(base64.b64decode(e["genome"], validate=True)) for e in entries
+        ]
+        fitness = np.array(_numbers([e["fitness"] for e in entries], float))
+        seed, next_generation, degenerate = _numbers(
+            [payload[k] for k in ("seed", "next_generation", "degenerate_args")], int
+        )
+        names = [s.value for s in STRATEGIES]
+        return TrainingRun(
+            seed=seed,
+            mode=TrainingMode(payload["mode"]).value,
+            next_generation=next_generation,
+            state=StrategyState(
+                probs=tuple(_numbers(payload["probabilities"], float, 3)),
+                successes=_numbers(payload["successes"], int, 3),
+                failures=_numbers(payload["failures"], int, 3),
+            ),
+            population=Population(candidates, fitness),
+            fitness_trajectory=_numbers(payload["fitness_trajectory"], float),
+            probability_trajectory=[
+                tuple(_numbers(p, float, 3)) for p in payload["probability_trajectory"]
+            ],
+            success_totals=dict(
+                zip(names, _numbers([payload["success_totals"][n] for n in names], int))
+            ),
+            degenerate_args=degenerate,
+        )
+    except (KeyError, TypeError, ValueError, GenomeFormatError) as exc:
+        raise CheckpointFormatError(f"bad checkpoint {path}: {exc}") from exc
+
+
+def _resumed(resume: TrainingRun, config: TrainingConfig) -> TrainingRun:
+    """A copy of `resume` that `train` may advance, after checking that it
+    belongs to `config`'s run."""
+    expected = (config.seed, config.mode.value, config.population_size, {config.window_size})
+    found = (
+        resume.seed,
+        resume.mode,
+        len(resume.population.candidates),
+        {g.architecture.input_width for g in resume.population.candidates},
+    )
+    if found != expected or not 1 <= resume.next_generation <= config.generations + 1:
+        raise CheckpointFormatError(
+            f"checkpoint (seed, mode, population, input widths) {found} at generation "
+            f"{resume.next_generation} does not fit the config's {expected} over "
+            f"{config.generations} generations"
+        )
+    state = resume.state
+    return replace(
+        resume,
+        state=StrategyState(state.probs, list(state.successes), list(state.failures)),
+        fitness_trajectory=list(resume.fitness_trajectory),
+        probability_trajectory=list(resume.probability_trajectory),
+        success_totals=dict(resume.success_totals),
     )
 
 
@@ -586,46 +625,37 @@ def train(
     train_data: WindowedDataset,
     *,
     checkpoint_dir: str | Path | None = None,
-    resume: Checkpoint | None = None,
-) -> tuple[NetworkGenome, TrainingReport]:
-    """Run the full training loop and return the best genome plus a report.
+    resume: TrainingRun | None = None,
+) -> tuple[NetworkGenome, TrainingRun]:
+    """Run the training loop; return the best genome and the run record.
 
-    Fitness is training-set RMSE over `train_data` (`DatasetFitness`).
-    `checkpoint_dir` writes one resumable checkpoint per generation; `resume`
-    continues a run and reproduces the uninterrupted result exactly.
+    Fitness is training-set RMSE over `train_data` (`DatasetFitness`). The
+    record's `to_dict()` is the report's "training" section.
+    `checkpoint_dir` receives the record after every generation as
+    `checkpoint_gen<g>.json`. `resume` (a `load_checkpoint` result, left
+    unchanged) continues from a copy of it and reproduces the uninterrupted
+    run exactly; it raises CheckpointFormatError unless the checkpoint's
+    seed, mode, population size, genome input width and generation fit
+    `config`.
     """
     fitness_fn = DatasetFitness(train_data)
-
-    if resume is not None:
-        if resume.seed != config.seed or resume.mode != config.mode.value:
-            raise CheckpointFormatError(
-                "checkpoint seed/mode do not match the training config"
-            )
-        population = resume.population
-        state = resume.state
-        trajectory = list(resume.fitness_trajectory)
-        prob_trajectory = list(resume.probability_trajectory)
-        success_totals = dict(resume.success_totals)
-        degenerate = resume.degenerate_args
-        start_gen = resume.next_generation
-    else:
+    if resume is None:
         population, degenerate = init_population(config, fitness_fn)
-        state = StrategyState(probs=tuple(config.initial_probabilities))
-        trajectory = [population.best_fitness]
-        prob_trajectory = []
-        success_totals = {s.value: 0 for s in STRATEGIES}
-        start_gen = 1
+        run = TrainingRun(
+            config.seed, config.mode.value, population, [population.best_fitness], degenerate
+        )
+    else:
+        run = _resumed(resume, config)
 
-    for gen in range(start_gen, config.generations + 1):
-        if config.mode is TrainingMode.FIXED_ALL:
-            trajectory.append(population.best_fitness)
-        else:
+    for gen in range(run.next_generation, config.generations + 1):
+        if config.mode is not TrainingMode.FIXED_ALL:
+            population, state = run.population, run.state
             # Vary: strategy, perturbed genome and two children per candidate.
             best = population.best
             steps = []
             for i, rng in enumerate(_streams(config.seed, gen, range(config.population_size))):
                 strategy = select_strategy(float(rng.random()), state)
-                rate = sample_modulation_rate(rng, config.rate_mean, config.rate_std)
+                rate = sample_modulation_rate(rng)
                 delta = modulate(strategy, i, population, best, rate, rng)
                 steps.append((strategy, recombine(population.candidates[i], delta, rng)))
             # Evaluate: every child, scored as soon as its pass returns.
@@ -639,70 +669,27 @@ def train(
                     [(child, fit) for child, (fit, _) in zip(pair, scored)],
                 )
                 candidates.append(genome)
-                degenerate += sum(deg for _, deg in scored)
+                run.degenerate_args += sum(deg for _, deg in scored)
                 k = STRATEGIES.index(strategy)
                 if succeeded:
                     state.successes[k] += 1
-                    success_totals[strategy.value] += 1
+                    run.success_totals[strategy.value] += 1
                 else:
                     state.failures[k] += 1
-            population = Population(candidates, fitness, int(np.argmin(fitness)))
-            state = update_probabilities(state)
-            prob_trajectory.append(state.probs)
-            trajectory.append(population.best_fitness)
-
+            run.population = Population(candidates, fitness)
+            run.state = update_probabilities(state)
+            run.probability_trajectory.append(run.state.probs)
+        run.fitness_trajectory.append(run.best_fitness)
+        run.next_generation = gen + 1
         if checkpoint_dir is not None:
-            save_checkpoint(
-                Checkpoint(
-                    seed=config.seed,
-                    mode=config.mode.value,
-                    next_generation=gen + 1,
-                    state=state,
-                    population=population,
-                    fitness_trajectory=trajectory,
-                    probability_trajectory=prob_trajectory,
-                    success_totals=success_totals,
-                    degenerate_args=degenerate,
-                ),
-                Path(checkpoint_dir) / f"checkpoint_gen{gen:04d}.json",
-            )
+            save_checkpoint(run, Path(checkpoint_dir) / f"checkpoint_gen{gen:04d}.json")
 
-    report = TrainingReport(
-        mode=config.mode.value,
-        seed=config.seed,
-        population_size=config.population_size,
-        generations=config.generations,
-        best_fitness=population.best_fitness,
-        fitness_trajectory=trajectory,
-        probability_trajectory=prob_trajectory,
-        final_probabilities=state.probs,
-        success_totals=success_totals,
-        degenerate_args=degenerate,
-        final_architectures=[list(g.architecture.hidden_widths) for g in population.candidates],
-    )
-    return population.best, report
+    return run.population.best, run
 
 
-def convergence_monitor(
-    report: TrainingReport | list[float], patience: int = 10
-) -> ConvergenceDiagnostics:
-    """Check the best-fitness trajectory never increases and summarize descent.
-
-    Raises MonotonicityViolationError on any increase (that would mean the
-    elitist adoption rule was broken). Stagnation is flagged when `patience`
-    consecutive generations brought no strict improvement.
-    """
-    trajectory = report.fitness_trajectory if isinstance(report, TrainingReport) else report
-    if len(trajectory) == 0:
-        raise ValueError("empty trajectory")
-    longest_plateau = plateau = 0
+def convergence_monitor(trajectory: list[float]) -> None:
+    """Raise MonotonicityViolationError if the best-fitness trajectory ever
+    rises (that would mean the elitist adoption rule was broken)."""
     for prev, cur in zip(trajectory, trajectory[1:]):
         if cur > prev:
             raise MonotonicityViolationError(f"best fitness rose from {prev} to {cur}")
-        plateau = plateau + 1 if cur == prev else 0
-        longest_plateau = max(longest_plateau, plateau)
-    return ConvergenceDiagnostics(
-        total_descent=float(trajectory[0] - trajectory[-1]),
-        stagnated=longest_plateau >= patience,
-        longest_plateau=longest_plateau,
-    )

@@ -300,9 +300,11 @@ def _plan(arch: Architecture) -> _Plan:
             bottom = [neg_sin + wt, neg_cos + wt, neg_sin + bias]
         else:
             top, bottom = [cos + wt, neg_sin + wt], [neg_sin + wt, neg_cos + wt]
-        gather.append(np.block([top, bottom]).ravel())
-        matrices.append((start, start + gather[-1].size, seg.w_out))
-        start += gather[-1].size
+        # The [top; bottom] matrix, row-major: the top rows, then the bottom.
+        halves = [np.concatenate(row, axis=1).ravel() for row in (top, bottom)]
+        gather += halves
+        matrices.append((start, start + 2 * halves[0].size, seg.w_out))
+        start += 2 * halves[0].size
     tables = (
         np.concatenate(rev),
         np.concatenate(dst),

@@ -122,7 +122,7 @@ def test_criterion_03_elitist_monotonicity():
         _, report = train(config, windows)
         diffs = np.diff(report.fitness_trajectory)
         assert (diffs <= 0).all(), f"fitness rose on case {case}: {report.fitness_trajectory}"
-        evolve.convergence_monitor(report)  # raises on violation
+        evolve.convergence_monitor(report.fitness_trajectory)  # raises on violation
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 20 and elapsed < 120.0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,11 +40,7 @@ def const_genome(arch, value):
 
 def make_population(genomes, fitness=None):
     fitness = np.array(fitness if fitness is not None else [1.0] * len(genomes))
-    return Population(
-        candidates=list(genomes),
-        fitness=fitness,
-        best_index=int(np.argmin(fitness)),
-    )
+    return Population(candidates=list(genomes), fitness=fitness)
 
 
 def tiny_dataset(seed=0, points=120, window=5):
@@ -429,6 +427,16 @@ def test_train_checkpoint_resume_matches_uninterrupted(tmp_path):
     assert report_resumed.to_dict() == report_full.to_dict()
 
 
+def test_train_resume_leaves_the_checkpoint_unchanged(tmp_path):
+    data = tiny_dataset()
+    cfg = tiny_config(generations=5, seed=4)
+    _, report_full = train(cfg, data, checkpoint_dir=tmp_path)
+    ckpt = evolve.load_checkpoint(tmp_path / "checkpoint_gen0002.json")
+    for _ in range(2):
+        _, report_resumed = train(cfg, data, resume=ckpt)
+        assert report_resumed.to_dict() == report_full.to_dict()
+
+
 def test_train_checkpoint_rejects_mismatched_config(tmp_path):
     data = tiny_dataset()
     cfg = tiny_config(generations=2, seed=4)
@@ -438,6 +446,75 @@ def test_train_checkpoint_rejects_mismatched_config(tmp_path):
         train(tiny_config(generations=2, seed=5), data, resume=ckpt)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(population_size=5), dict(population_size=7), dict(window_size=6), dict(generations=1)],
+    ids=["smaller-population", "larger-population", "window", "generations"],
+)
+def test_train_resume_rejects_a_checkpoint_of_another_shape(tmp_path, overrides):
+    train(tiny_config(generations=2, seed=4), tiny_dataset(), checkpoint_dir=tmp_path)
+    ckpt = evolve.load_checkpoint(tmp_path / "checkpoint_gen0002.json")
+    cfg = tiny_config(**{"generations": 2, "seed": 4, **overrides})
+    with pytest.raises(CheckpointFormatError):
+        train(cfg, tiny_dataset(window=cfg.window_size), resume=ckpt)
+
+
+CHECKPOINT_KEYS = [
+    "schema", "seed", "mode", "next_generation", "probabilities", "successes", "failures",
+    "fitness_trajectory", "probability_trajectory", "success_totals", "degenerate_args",
+    "population",
+]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_payload(tmp_path_factory):
+    out = tmp_path_factory.mktemp("checkpoints")
+    train(tiny_config(generations=1, seed=4), tiny_dataset(), checkpoint_dir=out)
+    return json.loads((out / "checkpoint_gen0001.json").read_text())
+
+
+def _load_payload(tmp_path, payload):
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(payload))
+    return evolve.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", CHECKPOINT_KEYS)
+def test_load_checkpoint_rejects_a_missing_key(tmp_path, checkpoint_payload, key):
+    assert sorted(checkpoint_payload) == sorted(CHECKPOINT_KEYS)
+    payload = {k: v for k, v in checkpoint_payload.items() if k != key}
+    with pytest.raises(CheckpointFormatError):
+        _load_payload(tmp_path, payload)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "4"),
+        ("next_generation", 2.5),
+        ("degenerate_args", True),
+        ("mode", 3),
+        ("probabilities", [0.5, 0.5]),
+        ("successes", [1, 2, "3"]),
+        ("fitness_trajectory", {"0": 0.1}),
+        ("probability_trajectory", [None]),
+        ("success_totals", [1, 2, 3]),
+        ("population", [{"genome": "not base64!", "fitness": 0.1}]),
+        ("population", [{"genome": "AAAA", "fitness": 0.1}]),
+        ("population", "abc"),
+    ],
+)
+def test_load_checkpoint_rejects_a_wrong_value(tmp_path, checkpoint_payload, key, value):
+    with pytest.raises(CheckpointFormatError):
+        _load_payload(tmp_path, {**checkpoint_payload, key: value})
+
+
+def test_load_checkpoint_round_trips(tmp_path, checkpoint_payload):
+    run = _load_payload(tmp_path, checkpoint_payload)
+    evolve.save_checkpoint(run, tmp_path / "again.json")
+    assert json.loads((tmp_path / "again.json").read_text()) == checkpoint_payload
+
+
 def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(population_size=3)
@@ -445,24 +522,11 @@ def test_training_config_validation():
         TrainingConfig(generations=-1)
     with pytest.raises(ValueError):
         TrainingConfig(hidden_range=(5, 4))
-    with pytest.raises(ValueError):
-        TrainingConfig(initial_probabilities=(0.5, 0.5, 0.5))
 
 
 # ------------------------------------------------------- convergence monitor
-
-def test_convergence_monitor_descent():
-    diag = convergence_monitor([0.5, 0.4, 0.4, 0.3], patience=10)
-    assert diag.total_descent == pytest.approx(0.2)
-    assert not diag.stagnated
-
 
 def test_convergence_monitor_violation():
     with pytest.raises(MonotonicityViolationError):
         convergence_monitor([0.5, 0.6])
 
-
-def test_convergence_monitor_stagnation_flag():
-    diag = convergence_monitor([0.5] * 12, patience=10)
-    assert diag.stagnated
-    assert diag.longest_plateau == 11
