@@ -2,7 +2,7 @@
 
 Every run is deterministic under a fixed --seed; report files contain no
 timestamps, paths, or environment details, so identical configs produce
-byte-identical artifacts. QEVO_THREADS is still validated but has no effect.
+byte-identical artifacts.
 Exit codes: 0 success, 1 domain error, 2 usage/IO error.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import statistics
 import sys
 from dataclasses import dataclass, fields
@@ -81,7 +80,6 @@ class RunConfig:
         """The evolve settings; a value evolve rejects is a usage error."""
         if not 0.0 < self.train_frac < 1.0:
             raise InputError("train_frac must be in (0, 1)")
-        _thread_cap()
         try:
             return evolve.TrainingConfig(
                 population_size=self.population,
@@ -99,18 +97,6 @@ class RunConfig:
 # Config-file keys are RunConfig's fields; a value parses as its default's type.
 _PARSE = {int: int, float: float, bool: lambda v: v.lower() in ("1", "true", "yes")}
 _CONFIG_KEYS = {f.name: _PARSE.get(type(f.default), str) for f in fields(RunConfig)}
-
-
-def _thread_cap() -> None:
-    """Reject a malformed QEVO_THREADS. The value itself no longer reaches
-    training, which runs on one thread."""
-    raw = os.environ.get("QEVO_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise InputError(f"QEVO_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise InputError(f"QEVO_THREADS must be >= 1, got {threads}")
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -247,32 +233,20 @@ def read_forecast_csv(path: str | Path) -> list[dict]:
     return rows
 
 
-def _json_ready(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    return value
-
-
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(
-        json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n",
+        json.dumps(payload, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
 
 
 def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
     training_config = cfg.training_config()
+    names = cfg.selected_metrics()
     series, params, windows, train_ds, test_ds = _prepare_datasets(cfg)
     best, run = evolve.train(training_config, train_ds, checkpoint_dir=checkpoint_dir)
     evolve.convergence_monitor(run.fitness_trajectory)
 
-    names = cfg.selected_metrics()
     train_pred = network.forward_batch(best, train_ds.inputs)
     test_pred = network.forward_batch(best, test_ds.inputs)
     rows = _forecast_rows(best, windows, params, split_at=len(train_ds))
@@ -339,8 +313,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
     if cfg.seeds < 1:
         raise InputError("seeds must be >= 1")
     cfg.training_config()  # usage errors before the data is read
-    series, params, windows, train_ds, test_ds = _prepare_datasets(cfg)
     names = cfg.selected_metrics()
+    series, params, windows, train_ds, test_ds = _prepare_datasets(cfg)
     modes = [m.value for m in evolve.TrainingMode]
     seeds = [cfg.seed + k for k in range(cfg.seeds)]
     runs = []
@@ -528,7 +502,6 @@ def main(argv=None) -> int:
             if not args.forecast and not args.report:
                 raise InputError("plot-data needs --forecast or --report")
             return cmd_plot_data(args.forecast, args.report, args.out_dir)
-        parser.error(f"unknown command {args.command}")
     except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -538,7 +511,6 @@ def main(argv=None) -> int:
     except QevoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -30,10 +30,6 @@ class EmptyTraceError(QevoError):
     """Trace contains no usable samples."""
 
 
-class AllBucketsEmptyError(QevoError):
-    """Aggregation produced no non-empty interval bucket."""
-
-
 class ConstantSeriesError(QevoError):
     """Series min equals max; min-max normalization is undefined."""
 

@@ -359,7 +359,7 @@ def _splice_plan(
     new_width = keep + (d_arch.hidden_widths[level - 1] - donor_cut)
     hidden = list(p_arch.hidden_widths)
     hidden[level - 1] = new_width
-    child_arch = Architecture(p_arch.input_width, tuple(hidden), p_arch.output_width)
+    child_arch = Architecture(p_arch.input_width, tuple(hidden))
 
     lay_c = layout(child_arch)
     lay_p = layout(p_arch)
@@ -631,13 +631,16 @@ def train(
 
     Fitness is training-set RMSE over `train_data` (`DatasetFitness`). The
     record's `to_dict()` is the report's "training" section.
-    `checkpoint_dir` receives the record after every generation as
-    `checkpoint_gen<g>.json`. `resume` (a `load_checkpoint` result, left
-    unchanged) continues from a copy of it and reproduces the uninterrupted
-    run exactly; it raises CheckpointFormatError unless the checkpoint's
-    seed, mode, population size, genome input width and generation fit
-    `config`.
+    `checkpoint_dir` (created first, parents included) receives the record
+    after every generation as `checkpoint_gen<g>.json`. `resume` (a
+    `load_checkpoint` result, left unchanged) continues from a copy of it and
+    reproduces the uninterrupted run exactly; it raises CheckpointFormatError
+    unless the checkpoint's seed, mode, population size, genome input width
+    and generation fit `config`.
     """
+    if checkpoint_dir is not None:
+        checkpoint_dir = Path(checkpoint_dir)
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
     fitness_fn = DatasetFitness(train_data)
     if resume is None:
         population, degenerate = init_population(config, fitness_fn)
@@ -682,7 +685,7 @@ def train(
         run.fitness_trajectory.append(run.best_fitness)
         run.next_generation = gen + 1
         if checkpoint_dir is not None:
-            save_checkpoint(run, Path(checkpoint_dir) / f"checkpoint_gen{gen:04d}.json")
+            save_checkpoint(run, checkpoint_dir / f"checkpoint_gen{gen:04d}.json")
 
     return run.population.best, run
 

@@ -21,8 +21,6 @@ and the output is Im(g * conj(U) / |U|)^2, so the only transcendentals are
 one cos and one sin of the genome's angles (`_matrices`). A zero sum U == 0
 has no argument: it is taken as arg 0, so the state becomes the gate phase
 g itself, and `ForwardDiagnostics.degenerate_args` counts it.
-`testkit.neuron_aggregate` and `testkit.reverse_rotate` keep the literal
-per-neuron form.
 
 The pass runs in real arithmetic on (planes, rows) blocks. A layer of
 width w is 2w block rows: the cos of each neuron's state, then the sin, so
@@ -83,7 +81,6 @@ class Architecture:
 
     input_width: int
     hidden_widths: tuple[int, ...]
-    output_width: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
@@ -91,8 +88,6 @@ class Architecture:
             raise ValueError("input_width must be >= 1")
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
             raise ValueError("need at least one hidden layer, all widths >= 1")
-        if self.output_width != 1:
-            raise ValueError("output_width is fixed at 1")
 
     @property
     def depth(self) -> int:
@@ -101,7 +96,7 @@ class Architecture:
     @property
     def widths(self) -> tuple[int, ...]:
         """All layer widths, input first, output last."""
-        return (self.input_width, *self.hidden_widths, self.output_width)
+        return (self.input_width, *self.hidden_widths, 1)
 
 
 @dataclass(frozen=True)
@@ -453,7 +448,7 @@ def genome_to_bytes(genome: NetworkGenome) -> bytes:
         _GENOME_VERSION,
         arch.input_width,
         arch.depth,
-        arch.output_width,
+        1,  # output width
         *arch.hidden_widths,
         genome.phases.size,
     )
@@ -467,6 +462,8 @@ def genome_from_bytes(blob: bytes) -> NetworkGenome:
             raise GenomeFormatError("bad genome magic")
         if version != _GENOME_VERSION:
             raise GenomeFormatError(f"unsupported genome version {version}")
+        if q != 1:
+            raise GenomeFormatError(f"output width must be 1, got {q}")
         offset = struct.calcsize("<4sIIII")
         widths = struct.unpack_from(f"<{depth}I", blob, offset)
         offset += struct.calcsize(f"<{depth}I")
@@ -480,7 +477,7 @@ def genome_from_bytes(blob: bytes) -> NetworkGenome:
     except struct.error as exc:
         raise GenomeFormatError(f"truncated genome data: {exc}")
     try:
-        arch = Architecture(input_width=n, hidden_widths=widths, output_width=q)
+        arch = Architecture(input_width=n, hidden_widths=widths)
         return NetworkGenome(architecture=arch, phases=phases.copy())
     except ValueError as exc:
         raise GenomeFormatError(f"invalid genome: {exc}") from None

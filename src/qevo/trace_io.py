@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    AllBucketsEmptyError,
     EmptyTraceError,
     InputError,
     MalformedRowError,
@@ -191,8 +190,6 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
             f"values of the bucket starting at {start!r} s sum past the float64 range"
         )
     occupied = counts > 0
-    if not occupied.any():
-        raise AllBucketsEmptyError("no samples landed in any bucket")
     means = np.full(n_buckets, np.nan)
     means[occupied] = sums[occupied] / counts[occupied]
     if not occupied.all():

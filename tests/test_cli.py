@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from qevo import network
+from qevo import evolve, network, trace_io
 from qevo.cli import FORECAST_COLUMNS, FORECAST_SCHEMA, main, read_forecast_csv, write_forecast_csv
 
 from conftest import positive_trace, write_trace_csv
@@ -249,9 +249,38 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "no_such_key" in capsys.readouterr().err
 
 
-def test_bad_threads_env(trace_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QEVO_THREADS", "zero")
-    assert main(train_args(trace_file, tmp_path / "out")) == 2
+def test_train_creates_a_missing_checkpoint_dir(trace_file, tmp_path):
+    checkpoints = tmp_path / "no" / "such" / "dir"
+    assert main([*train_args(trace_file, tmp_path / "out"), "--checkpoint-dir", str(checkpoints)]) == 0
+    assert sorted(p.name for p in checkpoints.iterdir()) == [
+        f"checkpoint_gen{g:04d}.json" for g in (1, 2, 3)
+    ]
+
+
+def test_train_checkpoint_dir_on_a_file_fails_before_training(trace_file, tmp_path, monkeypatch, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    monkeypatch.setattr(evolve, "init_population", lambda *a: pytest.fail("training started"))
+    assert main([*train_args(trace_file, tmp_path / "out"), "--checkpoint-dir", str(not_a_dir)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_unknown_metric_fails_before_the_data_is_read(trace_file, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(trace_io, "parse_trace", lambda *a: pytest.fail("trace read"))
+    monkeypatch.setattr(evolve, "train", lambda *a, **k: pytest.fail("training started"))
+    args = train_args(trace_file, tmp_path / "out", **{"--metrics": "rmse,bogus"})
+    args[0] = command
+    assert main(args) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_train_metrics_flag_selects_the_report_metrics(trace_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(train_args(trace_file, out, **{"--metrics": "mae"})) == 0
+    report = json.loads((out / "report.json").read_text())
+    for split in ("train", "test"):
+        assert set(report["metrics"][split]) == {"mae", "count"}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import cmath
 import math
 import struct
 import sys
@@ -24,7 +23,6 @@ from qevo.network import (
     random_genome,
     sigmoid,
 )
-from qevo.testkit import activate, neuron_aggregate, qubit_vector_magnitude, reverse_rotate
 
 
 def zeros_genome(arch):
@@ -108,69 +106,11 @@ def test_encode_input_values():
     assert encode_input(0.5) == pytest.approx(math.pi / 4)
 
 
-def test_activate_values():
-    assert activate(0.0) == pytest.approx(1.0 + 0.0j)
-    assert activate(math.pi / 2) == pytest.approx(0.0 + 1.0j, abs=1e-12)
-    assert activate(math.pi / 4) == pytest.approx(complex(math.sqrt(2) / 2, math.sqrt(2) / 2))
-
-
-def test_activate_unit_modulus():
-    rng = np.random.default_rng(1)
-    phases = rng.uniform(-10 * math.pi, 10 * math.pi, 10_000)
-    assert np.max(np.abs(np.abs(activate(phases)) - 1.0)) <= 1e-12
-
-
 def test_sigmoid_values():
     assert sigmoid(0.0) == 0.5
     assert sigmoid(math.log(3)) == pytest.approx(0.75)
     xs = np.random.default_rng(2).normal(0, 5, 100)
     assert np.max(np.abs(sigmoid(xs) + sigmoid(-xs) - 1.0)) <= 1e-12
-
-
-def test_neuron_aggregate_hand_case():
-    # activate(pi/4) * activate(pi/4) = e^{i pi/2}; minus activate(0) = 1
-    y = activate(math.pi / 4)
-    got = neuron_aggregate([y], [math.pi / 4], bias_phase=0.0)
-    expected = cmath.exp(1j * math.pi / 2) - 1.0
-    assert got == pytest.approx(expected)
-    assert got == pytest.approx(complex(-1.0, 1.0))
-
-
-def test_neuron_aggregate_identity_weights():
-    for k in (1, 3, 7):
-        got = neuron_aggregate([1.0 + 0.0j] * k, [0.0] * k)
-        assert got == pytest.approx(complex(k, 0.0))
-
-
-def test_neuron_aggregate_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        neuron_aggregate([1.0 + 0.0j], [])
-
-
-def test_reverse_rotate_hand_case():
-    # arg(1+1j) via the atan2 oracle
-    expected = (math.pi / 2) * 0.5 - math.atan2(1.0, 1.0)
-    assert reverse_rotate(1.0 + 1.0j, 0.0) == pytest.approx(expected)
-    assert expected == pytest.approx(0.0)
-
-
-def test_reverse_rotate_sigmoid_saturation():
-    assert reverse_rotate(1.0 + 0.0j, 1000.0) == pytest.approx(math.pi / 2)
-
-
-def test_reverse_rotate_degenerate_counted():
-    diag = ForwardDiagnostics()
-    psi = reverse_rotate(0.0 + 0.0j, 0.0, diag)
-    assert diag.degenerate_args == 1
-    assert psi == pytest.approx(math.pi / 4)  # arg treated as 0
-
-
-def test_qubit_vector_magnitude():
-    assert qubit_vector_magnitude([1.0 + 0.0j]) == pytest.approx(1.0)
-    assert qubit_vector_magnitude([0.6 + 0.8j]) == pytest.approx(1.0)
-    assert qubit_vector_magnitude([1.0 + 0.0j, 0.0 + 1.0j]) == pytest.approx(math.sqrt(2))
-    with pytest.raises(ValueError):
-        qubit_vector_magnitude([])
 
 
 # ---------------------------------------------------------------- forward
@@ -485,6 +425,15 @@ def test_genome_zero_hidden_width():
     blob = bytearray(network.genome_to_bytes(zeros_genome(Architecture(2, (2,)))))
     first_width = struct.calcsize("<4sIIII")
     blob[first_width:first_width + 4] = struct.pack("<I", 0)
+    with pytest.raises(GenomeFormatError):
+        network.genome_from_bytes(bytes(blob))
+
+
+def test_genome_output_width_other_than_one():
+    blob = bytearray(network.genome_to_bytes(zeros_genome(Architecture(2, (2,)))))
+    output_width = struct.calcsize("<4sIII")
+    assert blob[output_width:output_width + 4] == struct.pack("<I", 1)
+    blob[output_width:output_width + 4] = struct.pack("<I", 2)
     with pytest.raises(GenomeFormatError):
         network.genome_from_bytes(bytes(blob))
 
