@@ -26,6 +26,10 @@ class SampleOverflowError(InputError):
     """Trace values whose duplicate-timestamp or bucket sum overflows float64."""
 
 
+class SparseTraceError(InputError):
+    """Trace timestamps spread over far more interval buckets than they occupy."""
+
+
 class EmptyTraceError(QevoError):
     """Trace contains no usable samples."""
 

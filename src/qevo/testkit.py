@@ -201,7 +201,7 @@ def reference_parse_trace(path: str | Path, fmt: TraceFormat) -> tuple[tuple[flo
             raise MalformedRowError(row_index, "too few columns")
         try:
             t, v = float(row[t_idx]), float(row[v_idx])
-        except ValueError as exc:
+        except (IndexError, ValueError) as exc:  # IndexError: a negative index past a short row
             raise MalformedRowError(row_index, str(exc))
         if not (math.isfinite(t) and math.isfinite(v)) or v < 0:
             raise MalformedRowError(row_index, "non-finite or negative sample")

@@ -8,11 +8,17 @@ linear interpolation so the downstream windowing sees a contiguous series.
 
 Both stages hold their data as read-only float64 arrays: a trace is an
 (x, 2) array of (timestamp, value) rows, a series a 1-d array of means.
+
+A clean file, every row two finite, non-negative numbers that numpy's text
+reader parses, goes through that reader in one C call. Every other file goes
+through a csv row loop, which alone decides what a bad row is and which row
+index to report. A clean file reads to the same bits on either path.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from array import array
 from dataclasses import dataclass
 from math import isfinite
@@ -25,7 +31,12 @@ from .errors import (
     InputError,
     MalformedRowError,
     SampleOverflowError,
+    SparseTraceError,
 )
+
+# `aggregate` allocates at most this many buckets per occupied bucket, so its
+# memory stays bounded by the number of samples, not by their timestamps.
+MAX_BUCKETS_PER_OCCUPIED = 100
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,62 @@ def _resolve_column(mapping: str | int, fieldnames: list[str] | None, what: str)
         raise InputError(f"{what} column {mapping!r} not found in header {fieldnames}")
 
 
+def _load_clean_rows(
+    fh, delimiter: str, t_idx: int, v_idx: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (times, values) columns of the rest of `fh` in one call to numpy's
+    C reader, or None when the row loop has to read the file.
+
+    The reader splits cells as csv does (quoted cells, no comment syntax) and
+    parses them with the `float()` grammar minus underscores and non-ASCII
+    digits, which make it raise. So whenever it reads every row into finite,
+    non-negative samples, the row loop reads the same bits. It gives None when
+    it raises (on a faulty or blank row, among others), when it reads no
+    rows, and for negative column indexes, which only the row loop resolves.
+    """
+    if t_idx < 0 or v_idx < 0:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(
+                fh, delimiter=delimiter, comments=None, quotechar='"',
+                usecols=(t_idx, v_idx), dtype=np.float64, ndmin=2,
+            )
+    except (TypeError, ValueError):
+        return None
+    if not len(rows) or not np.isfinite(rows).all() or (rows[:, 1] < 0).any():
+        return None
+    return rows[:, 0], rows[:, 1]
+
+
+def _read_rows(reader, t_idx: int, v_idx: int) -> tuple[array, array]:
+    """The (times, values) columns of the rows left in a csv reader, checked
+    row by row; the first faulty row raises MalformedRowError with its 1-based
+    data row index."""
+    # Plain float64 buffers: no Python object per row outlives its row.
+    times, values = array("d"), array("d")
+    needed = max(t_idx, v_idx) + 1
+    add_time, add_value = times.append, values.append
+    for row_index, row in enumerate(reader, start=1):
+        try:
+            t = float(row[t_idx])
+            v = float(row[v_idx])
+        except (IndexError, ValueError) as exc:
+            if all(not cell.strip() for cell in row):
+                continue
+            if len(row) < needed:
+                raise MalformedRowError(row_index, f"expected >= {needed} columns, got {len(row)}")
+            raise MalformedRowError(row_index, str(exc))
+        if not (isfinite(t) and isfinite(v)):
+            raise MalformedRowError(row_index, f"non-finite sample ({t}, {v})")
+        if v < 0:
+            raise MalformedRowError(row_index, f"negative usage value {v}")
+        add_time(t)
+        add_value(v)
+    return times, values
+
+
 def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
     """Parse a trace file into a RawTrace.
 
@@ -116,8 +183,6 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
     if not path.is_file():
         raise FileNotFoundError(f"trace file not found: {path}")
 
-    # Plain float64 buffers: no Python object per row outlives its row.
-    times, values = array("d"), array("d")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=fmt.delimiter)
         fieldnames = None
@@ -128,27 +193,17 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
                 raise EmptyTraceError(f"no rows in {path}")
         t_idx = _resolve_column(fmt.timestamp_col, fieldnames, "timestamp")
         v_idx = _resolve_column(fmt.value_col, fieldnames, "value")
-        needed = max(t_idx, v_idx) + 1
 
-        add_time, add_value = times.append, values.append
-        for row_index, row in enumerate(reader, start=1):
-            try:
-                t = float(row[t_idx])
-                v = float(row[v_idx])
-            except (IndexError, ValueError) as exc:
-                if all(not cell.strip() for cell in row):
-                    continue
-                if len(row) < needed:
-                    raise MalformedRowError(row_index, f"expected >= {needed} columns, got {len(row)}")
-                raise MalformedRowError(row_index, str(exc))
-            if not (isfinite(t) and isfinite(v)):
-                raise MalformedRowError(row_index, f"non-finite sample ({t}, {v})")
-            if v < 0:
-                raise MalformedRowError(row_index, f"negative usage value {v}")
-            add_time(t)
-            add_value(v)
+        columns = _load_clean_rows(fh, fmt.delimiter, t_idx, v_idx)
+        if columns is None:
+            fh.seek(0)
+            reader = csv.reader(fh, delimiter=fmt.delimiter)
+            if fmt.header:
+                next(reader)
+            columns = _read_rows(reader, t_idx, v_idx)
+    times, values = columns
 
-    if not times:
+    if not len(times):
         raise EmptyTraceError(f"no data rows in {path}")
     # return_index makes numpy sort stably, so a timestamp keeps its first
     # spelling (-0.0 or 0.0), and bincount adds each group in file order.
@@ -167,6 +222,8 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
     runs from the first to the last occupied bucket. Empty interior buckets
     are filled by linear interpolation between their non-empty neighbours;
     empty edge buckets copy the nearest non-empty value. Raises
+    SparseTraceError, before allocating, when the series would span more
+    than MAX_BUCKETS_PER_OCCUPIED buckets per occupied one, and
     SampleOverflowError when the values of one bucket sum past the float64
     range.
     """
@@ -178,6 +235,16 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
     buckets = np.floor(times / width).astype(np.int64)
     first, last = int(buckets[0]), int(buckets[-1])
     n_buckets = last - first + 1
+    occupied_count = 1 + np.count_nonzero(np.diff(buckets))
+    if n_buckets > MAX_BUCKETS_PER_OCCUPIED * occupied_count:
+        steps = np.diff(buckets)
+        k = int(np.argmax(steps))
+        raise SparseTraceError(
+            f"timestamps {float(times[k])!r} and {float(times[k + 1])!r} s leave "
+            f"{int(steps[k]) - 1} empty {interval_minutes}-minute buckets between them; "
+            f"the series would span {n_buckets} buckets for {occupied_count} occupied "
+            f"(at most {MAX_BUCKETS_PER_OCCUPIED}x)"
+        )
     sums = np.zeros(n_buckets)
     counts = np.zeros(n_buckets)
     with np.errstate(over="ignore"):  # an overflowed sum is reported below

@@ -155,6 +155,26 @@ def test_predict_series_too_short(trace_file, tmp_path):
     assert code == 1
 
 
+def test_predict_on_a_sparse_trace_is_usage_error(tmp_path, capsys):
+    # Two samples 6e8 s apart would span 10 million one-minute buckets.
+    genome = tmp_path / "genome.bin"
+    arch = network.Architecture(5, (3,))
+    network.save_genome(network.random_genome(arch, np.random.default_rng(0)), genome)
+    sparse = tmp_path / "sparse.csv"
+    sparse.write_text("timestamp,value\n0,1\n600000000,2\n")
+    code = main(
+        [
+            "predict",
+            "--genome", str(genome),
+            "--input", str(sparse),
+            "--pi-minutes", "1",
+            "--out-dir", str(tmp_path / "pred"),
+        ]
+    )
+    assert code == 2
+    assert "empty 1-minute buckets" in capsys.readouterr().err
+
+
 def test_plot_data_from_forecast(trace_file, tmp_path):
     out = tmp_path / "run"
     assert main(train_args(trace_file, out)) == 0

@@ -264,15 +264,16 @@ def test_forward_states_in_concurrent_threads():
 
 def _check_against_oracle(genome, rows, conditioned=False):
     """forward_states over `rows` vs the scalar oracle, row by row, within
-    1e-12, or within `_oracle_bound` when `conditioned`; returns the
-    degenerate count and checks the shared input states are left untouched."""
+    `_oracle_bound` where `conditioned` (one flag, or one per row) is set and
+    within 1e-12 elsewhere; returns the degenerate count and checks the
+    shared input states are left untouched."""
     states = input_states(rows)
     before = states.copy()
     diag = ForwardDiagnostics()
     preds = forward_states(genome, states, diag)
     assert np.array_equal(states, before)
-    for row, pred in zip(rows, preds):
-        if conditioned:
+    for row, pred, row_conditioned in zip(rows, preds, np.broadcast_to(conditioned, len(rows))):
+        if row_conditioned:
             expected, bound = _oracle_bound(genome, row)
         else:
             expected, bound = testkit.oracle_forward(genome, row), 1e-12
@@ -310,17 +311,30 @@ def _with_zero_rows(rng, random_rows: int, zero_rows: int) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_zero_sum_at_a_hidden_layer(hidden, planted, random_rows, zero_rows, seed):
+    neurons = planted.draw(st.sets(st.integers(0, hidden[0] - 1), min_size=1))
+    _check_zero_sum_at_a_hidden_layer(hidden, neurons, random_rows, zero_rows, seed)
+
+
+def test_zero_sum_at_a_hidden_layer_beside_an_ill_conditioned_row():
+    # A draw whose random row 0.80929062 has condition 2.2e5 and deviates by
+    # 1.33e-12, past a flat 1e-12 bound.
+    _check_zero_sum_at_a_hidden_layer([11, 1], {0, 1}, random_rows=2, zero_rows=1, seed=3595)
+
+
+def _check_zero_sum_at_a_hidden_layer(hidden, neurons, random_rows, zero_rows, seed):
     # Input width 1: a first-layer neuron whose bias phase equals its weight
     # phase sums to exactly 0 on a 0 input, in the oracle as in the network.
+    # The zero rows, whose condition is infinite, are held to 1e-12 and the
+    # random rows to their own conditioning.
     rng = np.random.default_rng(seed)
     arch = Architecture(1, tuple(hidden))
-    neurons = planted.draw(st.sets(st.integers(0, hidden[0] - 1), min_size=1))
     phases = random_genome(arch, rng).phases.copy()
     seg = layout(arch).transitions[0]
     for j in neurons:
         phases[seg.bias_start + j] = phases[seg.weight_start + j]
     genome = NetworkGenome(arch, phases)
-    count = _check_against_oracle(genome, _with_zero_rows(rng, random_rows, zero_rows))
+    rows = _with_zero_rows(rng, random_rows, zero_rows)
+    count = _check_against_oracle(genome, rows, conditioned=rows[:, 0] != 0)
     assert count == len(neurons) * zero_rows
 
 

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevo import testkit
-from qevo.errors import EmptyTraceError, InputError, MalformedRowError, SampleOverflowError
+from qevo import testkit, trace_io
+from qevo.errors import (
+    EmptyTraceError,
+    InputError,
+    MalformedRowError,
+    SampleOverflowError,
+    SparseTraceError,
+)
 from qevo.trace_io import AggregatedSeries, RawTrace, TraceFormat, aggregate, parse_trace
 
 
@@ -180,6 +187,29 @@ def test_aggregate_bucket_sum_overflow_is_an_input_error():
     assert isinstance(excinfo.value, InputError)
 
 
+def test_aggregate_refuses_a_sparse_trace_before_allocating():
+    # 6e8 s at one-minute buckets asks for 10 million buckets for 2 samples.
+    trace = make_trace([(0.0, 1.0), (6e8, 2.0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SparseTraceError, match="timestamps 0.0 and 600000000.0 s") as excinfo:
+            aggregate(trace, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(excinfo.value, InputError)
+    assert peak < 2 * 2**20
+
+
+def test_aggregate_allows_up_to_the_sparsity_limit():
+    # Two occupied buckets may span 2 * MAX_BUCKETS_PER_OCCUPIED.
+    limit = 2 * trace_io.MAX_BUCKETS_PER_OCCUPIED
+    trace = make_trace([(0.0, 1.0), ((limit - 1) * 60.0, 2.0)])
+    assert len(aggregate(trace, 1).values) == limit
+    with pytest.raises(SparseTraceError):
+        aggregate(make_trace([(0.0, 1.0), (limit * 60.0, 2.0)]), 1)
+
+
 def test_parse_reports_the_first_faulty_row(tmp_path):
     # A negative value on row 2 is reported before the unparsable row 3.
     path = tmp_path / "t.csv"
@@ -197,20 +227,31 @@ def test_parse_row_index_counts_skipped_blank_rows(tmp_path):
     assert excinfo.value.row_index == 4
 
 
-_TIMES = ["0", "60", "120", "180", "-0", "0.0", "1e2", " 60 ", '"120"', "-60", "1_2_0"]
+# Unicode digits and underscores are valid `float()` input that numpy's
+# reader rejects.
+_TIMES = ["0", "60", "120", "180", "-0", "0.0", "1e2", " 60 ", '"120"', "-60", "1_2_0", "١٢٠"]
 _VALUES = st.one_of(
-    st.sampled_from(["1", "0.1", "0.2", "0.3", " 3 ", '"4"', "-0", "1e308"]),
+    st.sampled_from(["1", "0.1", "0.2", "0.3", " 3 ", '"4"', "-0", "1e308", "1_0", "٣"]),
     st.floats(0.0, 100.0).map(repr),
 )
-_BAD_TIMES = ["abc", "", " ", "inf", "nan"]
-_BAD_VALUES = ["-1", "", "nan", "-inf", "x", "1e309"]
+_BAD_TIMES = ["abc", "", " ", "inf", "nan", "#1", ' "60"']
+_BAD_VALUES = ["-1", "", "nan", "-inf", "x", "1e309", "# 1"]
+# Cells of the columns before the used ones: quoted cells holding the
+# delimiter, a newline or doubled quotes, stray quotes and `#` cells. "{d}"
+# stands for the file's delimiter, here and in the blank lines below.
+_LEAD_CELLS = [
+    '"a{d}b"', '"a\nb"', '"a\r\nb"', '"a""b"', '""', 'a"b', '"x"y', "#c", "# 1", "", "note", "5",
+]
+# Lines whose cells are all blank; the row loop skips them.
+_BLANK_LINES = ["", " ", "\t", "\x0b", "{d}", " {d} ", "{d}{d}"]
 
 
 @st.composite
 def trace_rows(draw):
-    """One data row as cells. About one row in twelve is faulty: short, or an
-    unparsable, non-finite or negative cell. The others are full rows (some
-    with an extra cell), empty lines or rows of blank cells."""
+    """One data row as cells, without the lead cells, or a blank line as a
+    string. About one row in twelve is faulty: short, or an unparsable,
+    non-finite or negative cell. The others are full rows (some with an extra
+    cell) or blank lines."""
     time, value = draw(st.sampled_from(_TIMES)), draw(_VALUES)
     if draw(st.integers(0, 11)) == 0:
         fault = draw(st.sampled_from(["short", "time", "value"]))
@@ -219,45 +260,125 @@ def trace_rows(draw):
         if fault == "time":
             return [draw(st.sampled_from(_BAD_TIMES)), value]
         return [time, draw(st.sampled_from(_BAD_VALUES))]
-    kind = draw(st.sampled_from(["full", "full", "full", "extra", "empty", "blank"]))
-    if kind == "empty":
-        return []
+    kind = draw(st.sampled_from(["full", "full", "full", "extra", "blank"]))
     if kind == "blank":
-        return [" "] * draw(st.integers(1, 3))
-    return [time, value, "z"] if kind == "extra" else [time, value]
+        return draw(st.sampled_from(_BLANK_LINES))
+    if kind == "extra":
+        return [time, value, draw(st.sampled_from(["z", "7"]))]
+    return [time, value]
 
 
-@settings(max_examples=300, deadline=None)
-@given(rows=st.lists(trace_rows(), max_size=12), swap=st.booleans())
-def test_parse_matches_the_row_by_row_reference(rows, swap):
-    """Same samples bit for bit as the reference, or the same error type on
-    the same data row."""
-    header = ["value", "timestamp"] if swap else ["timestamp", "value"]
-    lines = [",".join(header)] + [",".join(row[1::-1] + row[2:] if swap else row) for row in rows]
-    fmt = TraceFormat()
+@st.composite
+def trace_files(draw):
+    """(text, TraceFormat): a header row or a headerless file read by column
+    index, counted from the start or from the end of the row."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    newline = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    swap = draw(st.booleans())
+    leads = draw(st.integers(0, 2))
+    rows = draw(st.lists(trace_rows(), max_size=12))
+    lines = []
+    for row in rows:
+        if isinstance(row, str):
+            lines.append(row)
+            continue
+        lead = [draw(st.sampled_from(_LEAD_CELLS)) for _ in range(leads)]
+        lines.append(delimiter.join(lead + (row[1::-1] + row[2:] if swap else row)))
+    t_col, v_col = (leads + 1, leads) if swap else (leads, leads + 1)
+    header = draw(st.sampled_from(["names", "index", "negative index"]))
+    if header == "names":
+        names = ["value", "timestamp"] if swap else ["timestamp", "value"]
+        lines.insert(0, delimiter.join([f"lead{i}" for i in range(leads)] + names))
+        fmt = TraceFormat(delimiter=delimiter)
+    else:
+        if header == "negative index":
+            t_col, v_col = t_col - leads - 2, v_col - leads - 2
+        fmt = TraceFormat(timestamp_col=t_col, value_col=v_col, delimiter=delimiter, header=False)
+    text = newline.join(lines).replace("{d}", delimiter) + draw(st.sampled_from(["", newline]))
+    return text, fmt
+
+
+def _assert_parses_like_the_reference(path, fmt):
+    """Same samples bit for bit as the row-by-row reference, or the same error
+    type on the same data row."""
+    try:
+        expected = testkit.reference_parse_trace(path, fmt)
+    except (MalformedRowError, EmptyTraceError) as exc:
+        with pytest.raises(type(exc)) as excinfo:
+            parse_trace(path, fmt)
+        assert getattr(excinfo.value, "row_index", None) == getattr(exc, "row_index", None)
+        return
+    expected = np.array(expected, dtype=np.float64).reshape(-1, 2)
+    # A duplicate mean that overflowed is a typed input error, raised
+    # before RawTrace rejects a single sample.
+    if not np.isfinite(expected).all():
+        with pytest.raises(SampleOverflowError):
+            parse_trace(path, fmt)
+        return
+    if len(expected) < 2:
+        with pytest.raises(EmptyTraceError):
+            parse_trace(path, fmt)
+        return
+    assert parse_trace(path, fmt).samples.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=trace_files())
+def test_parse_matches_the_row_by_row_reference(case):
+    text, fmt = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        try:
-            expected = testkit.reference_parse_trace(path, fmt)
-        except (MalformedRowError, EmptyTraceError) as exc:
-            with pytest.raises(type(exc)) as excinfo:
-                parse_trace(path, fmt)
-            assert getattr(excinfo.value, "row_index", None) == getattr(exc, "row_index", None)
-            return
-        expected = np.array(expected, dtype=np.float64).reshape(-1, 2)
-        # A duplicate mean that overflowed is a typed input error, raised
-        # before RawTrace rejects a single sample.
-        if not np.isfinite(expected).all():
-            with pytest.raises(SampleOverflowError):
-                parse_trace(path, fmt)
-            return
-        if len(expected) < 2:
-            with pytest.raises(EmptyTraceError):
-                parse_trace(path, fmt)
-            return
-        samples = parse_trace(path, fmt).samples
-    assert samples.tobytes() == expected.tobytes()
+        path.write_bytes(text.encode("utf-8"))
+        _assert_parses_like_the_reference(path, fmt)
+
+
+_BY_INDEX = {"timestamp_col": 3, "value_col": 4, "header": False}
+
+
+@pytest.mark.parametrize(
+    "text, fmt",
+    [
+        # A quoted delimiter before the used columns: read without quoting,
+        # every row would shift one column right and still parse.
+        ('"x,y",c,1,2,3\n"x,y",c,4,5,6\n', TraceFormat(**_BY_INDEX)),
+        ('a,b,c,timestamp,value\n"x,y",c,1,2,3\n"x,y",c,4,5,6\n', TraceFormat()),
+        ('"a\nb","c\r\nd",e,1,2\n"""",f,g,3,4\n', TraceFormat(**_BY_INDEX)),
+        ('"a""b,c",x,y,1,2\n#c,# d,#,3,4\n', TraceFormat(**_BY_INDEX)),
+        ("timestamp,value\r0,1\r60,2\r", TraceFormat()),
+        ("timestamp,value\r\n0,1\r\n60,2", TraceFormat()),
+        ("timestamp,value\n0,1\n \n\x0b\n,\n60,2\n", TraceFormat()),
+        ("timestamp,value\n1_0,1\n60,\u0663\n", TraceFormat()),
+        ("timestamp;value\n0;1\n60;2\n", TraceFormat(delimiter=";")),
+        ("timestamp\tvalue\n0\t 1\n60\t2 \n", TraceFormat(delimiter="\t")),
+        ("timestamp value\n0 1\n60 2 \n", TraceFormat(delimiter=" ")),
+        ("0,1\n60,2\n", TraceFormat(timestamp_col=0, value_col=1, header=False)),
+        ("9,0,1\n60,2\n", TraceFormat(timestamp_col=-2, value_col=-1, header=False)),
+        ("9,0,1\n60\n", TraceFormat(timestamp_col=-2, value_col=-1, header=False)),
+    ],
+)
+def test_parse_matches_the_reference_where_the_readers_differ(tmp_path, text, fmt):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_parses_like_the_reference(path, fmt)
+
+
+def test_a_clean_trace_never_enters_the_row_loop(tmp_path, monkeypatch):
+    # predict-long's shape: integer timestamps, some repeated, six-decimal
+    # values. A row loop run here would mean the fast path stopped applying.
+    rng = np.random.default_rng(9)
+    times = np.sort(rng.integers(1_300_000_000, 1_300_600_000, 10_000))
+    values = np.round(rng.uniform(0.0, 1.0, times.size), 6)
+    path = tmp_path / "t.csv"
+    rows = "".join(f"{t},{v!r}\n" for t, v in zip(times.tolist(), values.tolist()))
+    path.write_text("timestamp,value\n" + rows)
+    expected = testkit.reference_parse_trace(path, TraceFormat())
+
+    def row_loop(*args):
+        raise AssertionError("the row loop read a clean trace")
+
+    monkeypatch.setattr(trace_io, "_read_rows", row_loop)
+    samples = parse_trace(path).samples
+    assert samples.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 def test_parse_duplicate_timestamp_keeps_its_first_spelling(tmp_path):
