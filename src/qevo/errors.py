@@ -30,6 +30,10 @@ class SparseTraceError(InputError):
     """Trace timestamps spread over far more interval buckets than they occupy."""
 
 
+class TimestampRangeError(InputError):
+    """Trace timestamps too far from 0 to number their interval buckets."""
+
+
 class EmptyTraceError(QevoError):
     """Trace contains no usable samples."""
 

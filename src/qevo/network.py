@@ -45,15 +45,30 @@ contiguous memory:
 - Why real: with one OpenBLAS thread and 1190 rows, the real dgemm of
   (2w_out, 2w_in+1) took about half the time of the complex zgemm of
   (w_out, w_in+1) it replaces (13.3 against 27.5 us for w = 10, 9.3
-  against 19.5 us for w = 8, on a 2-core x86 host). At default settings
-  OpenBLAS also woke its second thread for the zgemm from w = 8 up, which
-  doubled a training run's CPU time for no wall-time gain; with the dgemm
-  a run's CPU time about equals its wall time.
+  against 19.5 us for w = 8, on a 2-core x86 host).
 - The blocks live in a per-thread workspace of two float64 buffers of
   rows * (2 * widest hidden layer + 1) entries, replaced by larger ones when
   a call needs more and reused otherwise. A transition writes its product
   into one buffer and the squares into the other, whose block the product
   has just consumed. Predictions are returned in a new array.
+
+`forward_batch` runs `input_states` and `forward_states` over row tiles and
+writes each tile's predictions into one output array. A tile holds
+(2**19 - 1) // (largest M*K) rows, M*K being the entries of a transition's
+matrix, so every product makes fewer than 2**19 multiply-adds. OpenBLAS
+splits a larger product over its threads, and how it splits it sets the
+rounding; on a 2-core x86 host, OpenBLAS 0.3.31 kept products up to about
+0.9M multiply-adds on one thread. So a forecast's bytes do not depend on
+the BLAS thread count, and no second thread spins beside the one doing the
+work. A 10-8-8-1 network gets 1560-row tiles, whose input block and
+workspace (about 0.7 MB) fit in a 2 MB L2 cache.
+
+Training calls `forward_states` directly, untiled, on its whole training
+set. With window 10 and widths up to 10 a tile holds at least 1248 rows, so
+a desk-scale training set (1194 rows) is one tile anyway. Larger ones stay
+untiled because tiling them on a prototype broke acceptance criterion 12:
+the ratio of training wall time at 6020 windows to that at 3010 fell to
+1.47-1.93 over 6 runs, 3 of them under the 1.6 floor (1.77-1.91 untiled).
 """
 
 from __future__ import annotations
@@ -266,7 +281,8 @@ class _Plan(NamedTuple):
     weight absorbs. `gather` lists, transition after transition, where each
     entry of the stacked real matrices sits in the per-genome table
     [cos | sin | -cos | -sin] of the folded angles; `matrices` gives each
-    matrix's (start, stop, w_out) in that list.
+    matrix's (start, stop, w_out) in that list. `tile_rows` is how many rows
+    `forward_batch` passes at a time.
     """
 
     rev: np.ndarray
@@ -275,6 +291,12 @@ class _Plan(NamedTuple):
     gather: np.ndarray
     matrices: tuple[tuple[int, int, int], ...]
     output_gate: int
+    tile_rows: int
+
+
+# The most multiply-adds one product of `forward_batch` makes; see the
+# module docstring.
+_TILE_MULTIPLY_ADDS = 2**19 - 1
 
 
 @functools.lru_cache(maxsize=4096)
@@ -308,7 +330,10 @@ def _plan(arch: Architecture) -> _Plan:
     )
     for table in tables:
         table.setflags(write=False)
-    return _Plan(*tables, tuple(matrices), transitions[-1].rev_start)
+    # A matrix holds M*K = stop - start entries, so a tile's largest product
+    # makes M*K*tile_rows multiply-adds.
+    tile_rows = max(1, _TILE_MULTIPLY_ADDS // max(stop - start for start, stop, _ in matrices))
+    return _Plan(*tables, tuple(matrices), transitions[-1].rev_start, tile_rows)
 
 
 def _matrices(plan: _Plan, phases: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -423,8 +448,22 @@ def forward_batch(
     rows: np.ndarray,
     diag: ForwardDiagnostics | None = None,
 ) -> np.ndarray:
-    """Predict one normalized value in [0, 1] per input row."""
-    return forward_states(genome, input_states(rows), diag)
+    """Predict one normalized value in [0, 1] per input row.
+
+    The rows pass through `input_states` and `forward_states` in tiles of
+    `_plan(...).tile_rows`, whose products are too small for OpenBLAS to
+    split over threads, so the predictions do not depend on its thread count.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise DimensionMismatchError(f"expected 2-d input matrix, got shape {rows.shape}")
+    tile = _plan(genome.architecture).tile_rows
+    preds = np.empty(rows.shape[0])
+    # At least one pass, so zero rows of the wrong width still raise.
+    for start in range(0, max(rows.shape[0], 1), tile):
+        stop = start + tile
+        preds[start:stop] = forward_states(genome, input_states(rows[start:stop]), diag)
+    return preds
 
 
 def forward(

@@ -32,6 +32,7 @@ from .errors import (
     MalformedRowError,
     SampleOverflowError,
     SparseTraceError,
+    TimestampRangeError,
 )
 
 # `aggregate` allocates at most this many buckets per occupied bucket, so its
@@ -134,6 +135,8 @@ def _load_clean_rows(
                 fh, delimiter=delimiter, comments=None, quotechar='"',
                 usecols=(t_idx, v_idx), dtype=np.float64, ndmin=2,
             )
+    except UnicodeDecodeError:
+        raise  # the row loop could not read the file either
     except (TypeError, ValueError):
         return None
     if not len(rows) or not np.isfinite(rows).all() or (rows[:, 1] < 0).any():
@@ -149,22 +152,26 @@ def _read_rows(reader, t_idx: int, v_idx: int) -> tuple[array, array]:
     times, values = array("d"), array("d")
     needed = max(t_idx, v_idx) + 1
     add_time, add_value = times.append, values.append
-    for row_index, row in enumerate(reader, start=1):
-        try:
-            t = float(row[t_idx])
-            v = float(row[v_idx])
-        except (IndexError, ValueError) as exc:
-            if all(not cell.strip() for cell in row):
-                continue
-            if len(row) < needed:
-                raise MalformedRowError(row_index, f"expected >= {needed} columns, got {len(row)}")
-            raise MalformedRowError(row_index, str(exc))
-        if not (isfinite(t) and isfinite(v)):
-            raise MalformedRowError(row_index, f"non-finite sample ({t}, {v})")
-        if v < 0:
-            raise MalformedRowError(row_index, f"negative usage value {v}")
-        add_time(t)
-        add_value(v)
+    row_index = 0
+    try:
+        for row_index, row in enumerate(reader, start=1):
+            try:
+                t = float(row[t_idx])
+                v = float(row[v_idx])
+            except (IndexError, ValueError) as exc:
+                if all(not cell.strip() for cell in row):
+                    continue
+                if len(row) < needed:
+                    raise MalformedRowError(row_index, f"expected >= {needed} columns, got {len(row)}")
+                raise MalformedRowError(row_index, str(exc))
+            if not (isfinite(t) and isfinite(v)):
+                raise MalformedRowError(row_index, f"non-finite sample ({t}, {v})")
+            if v < 0:
+                raise MalformedRowError(row_index, f"negative usage value {v}")
+            add_time(t)
+            add_value(v)
+    except csv.Error as exc:  # raised while reading the row after the last one read
+        raise MalformedRowError(row_index + 1, str(exc)) from None
     return times, values
 
 
@@ -173,8 +180,9 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
 
     Rows are sorted by timestamp and duplicate timestamps are averaged, adding
     in file order. Rows that are empty or whose cells are all blank are
-    skipped. Raises FileNotFoundError, InputError for an unknown column,
-    MalformedRowError (with the 1-based data row index), SampleOverflowError
+    skipped. Raises FileNotFoundError, InputError for an unknown column, a
+    file that is not UTF-8 or an unreadable header, MalformedRowError (with
+    the 1-based data row index), SampleOverflowError
     when the values of one timestamp sum past the float64 range, or
     EmptyTraceError.
     """
@@ -183,24 +191,30 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
     if not path.is_file():
         raise FileNotFoundError(f"trace file not found: {path}")
 
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=fmt.delimiter)
-        fieldnames = None
-        if fmt.header:
-            try:
-                fieldnames = [c.strip() for c in next(reader)]
-            except StopIteration:
-                raise EmptyTraceError(f"no rows in {path}")
-        t_idx = _resolve_column(fmt.timestamp_col, fieldnames, "timestamp")
-        v_idx = _resolve_column(fmt.value_col, fieldnames, "value")
-
-        columns = _load_clean_rows(fh, fmt.delimiter, t_idx, v_idx)
-        if columns is None:
-            fh.seek(0)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=fmt.delimiter)
+            fieldnames = None
             if fmt.header:
-                next(reader)
-            columns = _read_rows(reader, t_idx, v_idx)
+                try:
+                    fieldnames = [c.strip() for c in next(reader)]
+                except StopIteration:
+                    raise EmptyTraceError(f"no rows in {path}")
+            t_idx = _resolve_column(fmt.timestamp_col, fieldnames, "timestamp")
+            v_idx = _resolve_column(fmt.value_col, fieldnames, "value")
+
+            columns = _load_clean_rows(fh, fmt.delimiter, t_idx, v_idx)
+            if columns is None:
+                fh.seek(0)
+                reader = csv.reader(fh, delimiter=fmt.delimiter)
+                if fmt.header:
+                    next(reader)
+                columns = _read_rows(reader, t_idx, v_idx)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end].hex(" ")
+        raise InputError(f"{path} is not UTF-8 text ({exc.reason}: {bad})") from None
+    except csv.Error as exc:  # _read_rows reports its own rows
+        raise InputError(f"{path}: header row: {exc}") from None
     times, values = columns
 
     if not len(times):
@@ -232,7 +246,14 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
     width = interval_minutes * 60.0
     times, values = trace.samples[:, 0], trace.samples[:, 1]
 
-    buckets = np.floor(times / width).astype(np.int64)
+    ids = np.floor(times / width)  # sorted, as the timestamps are
+    for t, bucket in ((times[0], ids[0]), (times[-1], ids[-1])):
+        if not -(2.0**63) <= bucket < 2.0**63:
+            raise TimestampRangeError(
+                f"timestamp {float(t)!r} s is too far from 0 to number its "
+                f"{interval_minutes}-minute bucket as a 64-bit integer"
+            )
+    buckets = ids.astype(np.int64)
     first, last = int(buckets[0]), int(buckets[-1])
     n_buckets = last - first + 1
     occupied_count = 1 + np.count_nonzero(np.diff(buckets))

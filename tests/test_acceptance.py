@@ -7,7 +7,10 @@ five full-mode training runs through module-scoped fixtures.
 
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,35 +212,27 @@ def test_criterion_09_ablation_direction(sine_splits, full_runs):
     )
 
 
-def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
-    trace = tmp_path / "trace.csv"
-    write_trace_csv(trace, positive_trace(seed=2, points=400))
-    outputs = []
-    for threads, name in (("1", "a"), ("2", "b")):
-        monkeypatch.setenv("QEVO_THREADS", threads)
-        out = tmp_path / name
-        code = cli.main(
-            [
-                "train",
-                "--input", str(trace),
-                "--pi-minutes", "1",
-                "--window", "6",
-                "--population", "8",
-                "--generations", "5",
-                "--train-frac", "0.6",
-                "--seed", "11",
-                "--hidden-min", "3",
-                "--hidden-max", "5",
-                "--depth-min", "1",
-                "--depth-max", "2",
-                "--out-dir", str(out),
-            ]
+def test_criterion_10_cli_determinism(tmp_path):
+    # 4990 windows through a 10-10-10-1 network: one product over every row
+    # would be large enough for OpenBLAS to split over two threads. Each call
+    # runs in a fresh interpreter, since OpenBLAS reads its thread count once.
+    trace, genome = tmp_path / "trace.csv", tmp_path / "genome.bin"
+    write_trace_csv(trace, positive_trace(seed=10, points=5000))
+    network.save_genome(random_genome(Architecture(10, (10, 10)), np.random.default_rng(10)), genome)
+    src = str(Path(network.__file__).parents[1])
+    forecasts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "qevo.cli", "predict", "--genome", str(genome),
+             "--input", str(trace), "--pi-minutes", "1", "--out-dir", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+            check=True, capture_output=True, timeout=120,
         )
-        assert code == 0
-        outputs.append(out)
-    for name in ("report.json", "forecast.csv", "genome.bin"):
-        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
-    _passed("criterion 10: cmd_train artifacts byte-identical across QEVO_THREADS=1 and 2")
+        forecasts.append((out / "forecast.csv").read_bytes())
+    assert forecasts[0] == forecasts[1]
+    _passed("criterion 10: predict over 4990 windows writes a byte-identical forecast.csv"
+            " under OPENBLAS_NUM_THREADS=1 and 2")
 
 
 def test_criterion_11_real_trace_quality():

@@ -81,16 +81,6 @@ def test_train_deterministic_artifacts(trace_file, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_train_threads_env_does_not_change_artifacts(trace_file, tmp_path, monkeypatch):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("QEVO_THREADS", "1")
-    assert main(train_args(trace_file, out_a)) == 0
-    monkeypatch.setenv("QEVO_THREADS", "3")
-    assert main(train_args(trace_file, out_b)) == 0
-    for name in ("report.json", "forecast.csv", "genome.bin"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-
 def test_predict_matches_training_fits(trace_file, tmp_path):
     out = tmp_path / "run"
     assert main(train_args(trace_file, out)) == 0
@@ -173,6 +163,31 @@ def test_predict_on_a_sparse_trace_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "empty 1-minute buckets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"timestamp,value\n0,1\n60,\xff\n", "is not UTF-8 text"),
+        (b"timestamp,value\n1e300,1\n2e300,2\n", "64-bit integer"),
+        (b"timestamp,value,note\n0,1,a\n \n60,2," + b"x" * 140_000 + b"\n", "row 3: field larger"),
+    ],
+    ids=["not-utf8", "timestamp-past-int64", "cell-past-field-limit"],
+)
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_unreadable_trace_is_usage_error(tmp_path, capsys, command, data, message):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(data)
+    if command == "train":
+        args = train_args(trace, tmp_path / "out")
+    else:
+        genome = tmp_path / "genome.bin"
+        network.save_genome(network.random_genome(network.Architecture(5, (3,)), np.random.default_rng(0)), genome)
+        args = ["predict", "--genome", str(genome), "--input", str(trace), "--pi-minutes", "1",
+                "--out-dir", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
 
 
 def test_plot_data_from_forecast(trace_file, tmp_path):

@@ -388,6 +388,100 @@ def test_a_nonzero_sum_whose_square_underflows_is_not_degenerate():
     assert _check_against_oracle(genome, rows) == 3
 
 
+# ---------------------------------------------------------------- row tiles
+
+def _tiles(count, tile):
+    return [slice(start, min(start + tile, count)) for start in range(0, count, tile)]
+
+
+def _record_tile_rows(monkeypatch):
+    """Make every forward_states call append its row count to the list returned."""
+    rows, inner = [], network.forward_states
+
+    def recording(genome, states, diag=None):
+        rows.append(states.shape[0])
+        return inner(genome, states, diag)
+
+    monkeypatch.setattr(network, "forward_states", recording)
+    return rows
+
+
+def test_tiles_keep_every_product_under_the_bound():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        widths = tuple(int(w) for w in rng.integers(1, 40, int(rng.integers(1, 5))))
+        plan = network._plan(Architecture(int(rng.integers(1, 40)), widths))
+        largest = max(stop - start for start, stop, _ in plan.matrices)
+        assert largest * plan.tile_rows < 2**19 <= largest * (plan.tile_rows + 1)
+    assert network._plan(Architecture(10, (8, 8))).tile_rows == 1560
+
+
+TILED = Architecture(12, (20, 6))
+TILE = network._plan(TILED).tile_rows
+
+
+@pytest.mark.parametrize("count", [TILE - 1, TILE, TILE + 1, 5 * TILE // 2])
+def test_forward_batch_stitches_its_tiles(count, monkeypatch):
+    rng = np.random.default_rng(count)
+    genome = random_genome(TILED, rng)
+    rows = rng.random((count, TILED.input_width))
+    tiles = _tiles(count, TILE)
+    per_tile = [forward_states(genome, input_states(rows[tile])) for tile in tiles]
+    seen = _record_tile_rows(monkeypatch)
+    preds = forward_batch(genome, rows)
+    assert seen == [tile.stop - tile.start for tile in tiles]
+    for tile, expected in zip(tiles, per_tile):
+        assert preds[tile].tobytes() == expected.tobytes()
+    for i in {0, TILE - 2, TILE - 1, TILE, count - 1} & set(range(count)):
+        expected, bound = _oracle_bound(genome, rows[i])
+        assert abs(preds[i] - expected) <= bound
+
+
+def test_forward_batch_counts_each_zero_sum_once_across_tiles():
+    # As in the hidden-layer zero-sum test: neuron 0's bias phase equals its
+    # weight phase, so a 0 input sums to exactly 0 there. Zero rows sit in the
+    # first and third of three tiles.
+    arch = Architecture(1, (60, 60))
+    tile = network._plan(arch).tile_rows
+    rng = np.random.default_rng(16)
+    phases = random_genome(arch, rng).phases.copy()
+    seg = layout(arch).transitions[0]
+    phases[seg.bias_start] = phases[seg.weight_start]
+    genome = NetworkGenome(arch, phases)
+    rows = rng.uniform(0.01, 1.0, (5 * tile // 2, 1))
+    zero = [1, tile - 1, 2 * tile + 3]
+    rows[zero] = 0.0
+    diag = ForwardDiagnostics()
+    forward_batch(genome, rows, diag)
+    assert diag.degenerate_args == len(zero)
+
+
+def test_an_underflow_row_in_the_last_partial_tile_takes_the_hypot_path(monkeypatch):
+    # Weight and bias phases 0 on a width-1 input, as in the underflow test
+    # above: at x = 1e-200 each hidden sum is nonzero but its square is 0.
+    arch = Architecture(1, (100,))
+    tile = network._plan(arch).tile_rows
+    rng = np.random.default_rng(17)
+    phases = random_genome(arch, rng).phases.copy()
+    seg = layout(arch).transitions[0]
+    phases[seg.weight_start : seg.rev_start] = 0.0
+    genome = NetworkGenome(arch, phases)
+    rows = rng.uniform(0.01, 1.0, (5 * tile // 2, 1))
+    rows[-2] = 1e-200
+    exact_blocks, inner = [], network._normalize_exactly
+
+    def recording(planes, mag, diag):
+        exact_blocks.append(mag.shape)
+        inner(planes, mag, diag)
+
+    monkeypatch.setattr(network, "_normalize_exactly", recording)
+    diag = ForwardDiagnostics()
+    preds = forward_batch(genome, rows, diag)
+    assert exact_blocks == [(100, len(rows) - 2 * tile)]
+    assert diag.degenerate_args == 0
+    assert abs(preds[-2] - testkit.oracle_forward(genome, rows[-2])) <= 1e-12
+
+
 # ---------------------------------------------------------------- serialization
 
 def test_genome_round_trip_bytes():

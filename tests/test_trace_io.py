@@ -1,3 +1,5 @@
+import csv
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,6 +16,7 @@ from qevo.errors import (
     MalformedRowError,
     SampleOverflowError,
     SparseTraceError,
+    TimestampRangeError,
 )
 from qevo.trace_io import AggregatedSeries, RawTrace, TraceFormat, aggregate, parse_trace
 
@@ -208,6 +211,67 @@ def test_aggregate_allows_up_to_the_sparsity_limit():
     assert len(aggregate(trace, 1).values) == limit
     with pytest.raises(SparseTraceError):
         aggregate(make_trace([(0.0, 1.0), (limit * 60.0, 2.0)]), 1)
+
+
+@pytest.mark.parametrize(
+    "samples, named",
+    [
+        ([(1e300, 1.0), (2e300, 2.0)], 1e300),
+        ([(-2e300, 1.0), (0.0, 2.0)], -2e300),
+        ([(0.0, 1.0), (2.0**63 * 60.0, 2.0)], 2.0**63 * 60.0),
+    ],
+)
+def test_aggregate_refuses_bucket_numbers_past_int64(samples, named):
+    # Bucket numbers past int64 would wrap in the cast and share a bucket.
+    with pytest.raises(TimestampRangeError, match=re.escape(f"timestamp {named!r} s")) as excinfo:
+        aggregate(make_trace(samples), 1)
+    assert isinstance(excinfo.value, InputError)
+
+
+def test_parse_a_header_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"timestamp,val\xffue\n0,1\n60,2\n")
+    with pytest.raises(InputError, match="is not UTF-8 text") as excinfo:
+        parse_trace(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("reader", ["numpy", "row loop"])
+def test_parse_a_row_that_is_not_utf8_is_an_input_error(tmp_path, monkeypatch, reader):
+    # The bad byte lies past the first chunk the header read decodes, so the
+    # reader of the data rows meets it.
+    path = tmp_path / "t.csv"
+    rows = b"".join(b"%d,1\n" % (60 * i) for i in range(5000))
+    path.write_bytes(b"timestamp,value\n" + rows + b"300000,\xff\n")
+
+    def row_loop(*args):
+        raise AssertionError("the row loop ran after numpy's reader met the bad byte")
+
+    if reader == "numpy":
+        monkeypatch.setattr(trace_io, "_read_rows", row_loop)
+    else:
+        monkeypatch.setattr(trace_io, "_load_clean_rows", lambda *args: None)
+    with pytest.raises(InputError, match="is not UTF-8 text") as excinfo:
+        parse_trace(path)
+    assert str(path) in str(excinfo.value)
+
+
+def test_parse_a_cell_past_the_csv_field_limit_is_a_malformed_row(tmp_path):
+    # The whitespace-only line sends the file to the row loop, and counts.
+    path = tmp_path / "t.csv"
+    long_cell = "x" * (csv.field_size_limit() + 1)
+    path.write_text(f"t,v,note\n0,1,a\n \n60,2,{long_cell}\n120,3,b\n")
+    with pytest.raises(MalformedRowError, match="field limit") as excinfo:
+        parse_trace(path, TraceFormat(timestamp_col="t", value_col="v"))
+    assert excinfo.value.row_index == 3
+
+
+def test_parse_a_header_past_the_csv_field_limit_is_an_input_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(f"t,v,{'x' * (csv.field_size_limit() + 1)}\n0,1,a\n60,2,b\n")
+    with pytest.raises(InputError, match="header row") as excinfo:
+        parse_trace(path, TraceFormat(timestamp_col="t", value_col="v"))
+    assert str(path) in str(excinfo.value)
 
 
 def test_parse_reports_the_first_faulty_row(tmp_path):
