@@ -247,9 +247,11 @@ def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
     best, run = evolve.train(training_config, train_ds, checkpoint_dir=checkpoint_dir)
     evolve.convergence_monitor(run.fitness_trajectory)
 
-    train_pred = network.forward_batch(best, train_ds.inputs)
-    test_pred = network.forward_batch(best, test_ds.inputs)
+    # Score the forecast's own predictions: a row's last bits depend on where
+    # it falls in forward_batch's row tiles, so a second pass could differ.
     rows = _forecast_rows(best, windows, params, split_at=len(train_ds))
+    predicted = rows["predicted_normalized"]
+    train_pred, test_pred = predicted[: len(train_ds)], predicted[len(train_ds) : len(windows)]
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -321,7 +323,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     for mode in modes:
         for seed in seeds:
             best, run = evolve.train(cfg.training_config(seed=seed, mode=mode), train_ds)
-            test_pred = network.forward_batch(best, test_ds.inputs)
+            test_pred = network.forward_batch(best, windows.inputs)[len(train_ds) :]
             runs.append(
                 {
                     "mode": mode,

@@ -1,8 +1,8 @@
 """Forecast error metrics: RMSE (the training fitness), MAE, MAPE.
 
 All metrics are computed on the normalized scale; MAPE is reported as a
-fraction and guards zero actuals with an epsilon denominator instead of
-silently dropping points.
+fraction and floors |actual| at MAPE_FLOOR instead of silently dropping
+zero actuals.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, LengthMismatchError
+
+MAPE_FLOOR = 1e-8  # the smallest |actual| a MAPE term divides by
 
 
 @dataclass(frozen=True)
@@ -48,16 +50,12 @@ def mae(actual, predicted) -> float:
     return float(np.mean(np.abs(a - p)))
 
 
-def mape(actual, predicted, epsilon: float = 1e-8) -> float:
-    """Mean absolute fractional error with |actual| floored at epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+def mape(actual, predicted) -> float:
+    """Mean absolute fractional error with |actual| floored at MAPE_FLOOR."""
     a, p = _pair(actual, predicted)
-    return float(np.mean(np.abs(a - p) / np.maximum(np.abs(a), epsilon)))
+    return float(np.mean(np.abs(a - p) / np.maximum(np.abs(a), MAPE_FLOOR)))
 
 
-def evaluate(actual, predicted, epsilon: float = 1e-8) -> EvaluationResult:
+def evaluate(actual, predicted) -> EvaluationResult:
     a, p = _pair(actual, predicted)
-    return EvaluationResult(
-        rmse=rmse(a, p), mae=mae(a, p), mape=mape(a, p, epsilon), count=int(a.size)
-    )
+    return EvaluationResult(rmse=rmse(a, p), mae=mae(a, p), mape=mape(a, p), count=int(a.size))

@@ -1,38 +1,24 @@
-"""Independent brute-force oracles for the acceptance suite.
+"""Independent references that the tests and the benchmark checks compare
+the program against; this module holds those references and nothing else.
 
 Everything here is intentionally naive: the forward oracle re-walks the
 genome with explicit (re, im) pair arithmetic and its own offset bookkeeping,
 sharing no implementation with the production network module, so agreement
 between the two is meaningful evidence. The trace reference is the
 row-by-row, dict-based parser that the columnar `trace_io.parse_trace` must
-match.
+match. The checks of the trainer's own loops (roulette frequencies,
+recombination validity) run inline in the acceptance tests.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .errors import EmptyTraceError, MalformedRowError
-from .evolve import STRATEGIES, StrategyState, recombine, select_strategy
-from .network import Architecture, NetworkGenome, random_genome
+from .network import NetworkGenome
 from .trace_io import TraceFormat, _resolve_column
-
-
-@dataclass
-class OracleReport:
-    max_abs_deviation: float
-    cases_run: int
-    failures: list[str] = field(default_factory=list)
-    tolerance: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def oracle_forward(genome: NetworkGenome, row) -> float:
@@ -98,87 +84,6 @@ def oracle_forward_conditioned(genome: NetworkGenome, row) -> tuple[float, float
             next_states.append((math.cos(psi), math.sin(psi)))
         states = next_states
     raise AssertionError("unreachable: network has at least one transition")
-
-
-def _expected_genome_length(arch: Architecture) -> int:
-    """Independent re-derivation of the genome length formula."""
-    widths = [arch.input_width, *arch.hidden_widths, 1]
-    total = 0
-    for t in range(len(widths) - 1):
-        total += widths[t] * widths[t + 1]  # weights
-        if t < len(widths) - 2:
-            total += widths[t + 1]  # bias
-        total += widths[t + 1]  # reversal
-    return total
-
-
-def check_recombination_validity(
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    input_width: int = 4,
-    width_range: tuple[int, int] = (1, 6),
-    depth_range: tuple[int, int] = (1, 3),
-) -> OracleReport:
-    """Recombine random cross-architecture parent pairs and re-validate every
-    child against the independently derived layout formula."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    failures: list[str] = []
-    max_dev = 0.0
-    for trial in range(trials):
-        parents = []
-        for _ in range(2):
-            depth = int(rng.integers(depth_range[0], depth_range[1] + 1))
-            widths = tuple(
-                int(w) for w in rng.integers(width_range[0], width_range[1] + 1, depth)
-            )
-            parents.append(random_genome(Architecture(input_width, widths), rng))
-        children = recombine(parents[0], parents[1], rng)
-        for which, child in enumerate(children):
-            expected = _expected_genome_length(child.architecture)
-            deviation = abs(child.phases.size - expected)
-            max_dev = max(max_dev, float(deviation))
-            if deviation:
-                failures.append(
-                    f"trial {trial} child {which}: length {child.phases.size}, expected {expected}"
-                )
-            elif not np.isfinite(child.phases).all():
-                failures.append(f"trial {trial} child {which}: non-finite phases")
-            elif any(w < 1 for w in child.architecture.hidden_widths):
-                failures.append(f"trial {trial} child {which}: empty hidden layer")
-    return OracleReport(max_abs_deviation=max_dev, cases_run=trials, failures=failures)
-
-
-def check_selection_distribution(
-    probabilities,
-    draws: int,
-    rng: np.random.Generator,
-    tolerance: float = 0.01,
-) -> OracleReport:
-    """Empirical strategy frequencies vs the target simplex."""
-    probs = tuple(float(p) for p in probabilities)
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {sum(probs)}")
-    state = StrategyState(probs=probs)
-    counts = dict.fromkeys(STRATEGIES, 0)
-    for mss in rng.random(draws):
-        counts[select_strategy(float(mss), state)] += 1
-    failures = []
-    max_dev = 0.0
-    for k, strategy in enumerate(STRATEGIES):
-        deviation = abs(counts[strategy] / draws - probs[k])
-        max_dev = max(max_dev, deviation)
-        if deviation > tolerance:
-            failures.append(
-                f"{strategy.value}: frequency {counts[strategy] / draws:.4f} vs target {probs[k]:.4f}"
-            )
-    return OracleReport(
-        max_abs_deviation=max_dev,
-        cases_run=draws,
-        failures=failures,
-        tolerance=tolerance,
-    )
 
 
 def reference_parse_trace(path: str | Path, fmt: TraceFormat) -> tuple[tuple[float, float], ...]:

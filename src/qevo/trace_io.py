@@ -266,11 +266,10 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
             f"the series would span {n_buckets} buckets for {occupied_count} occupied "
             f"(at most {MAX_BUCKETS_PER_OCCUPIED}x)"
         )
-    sums = np.zeros(n_buckets)
-    counts = np.zeros(n_buckets)
-    with np.errstate(over="ignore"):  # an overflowed sum is reported below
-        np.add.at(sums, buckets - first, values)
-    np.add.at(counts, buckets - first, 1.0)
+    # bincount adds each bucket in file order; an overflowed sum is inf,
+    # reported below.
+    sums = np.bincount(buckets - first, weights=values, minlength=n_buckets)
+    counts = np.bincount(buckets - first, minlength=n_buckets)
 
     if not np.isfinite(sums).all():
         start = (first + int(np.argmin(np.isfinite(sums)))) * width

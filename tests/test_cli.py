@@ -8,7 +8,7 @@ import pytest
 from qevo import evolve, network, trace_io
 from qevo.cli import FORECAST_COLUMNS, FORECAST_SCHEMA, main, read_forecast_csv, write_forecast_csv
 
-from conftest import positive_trace, write_trace_csv
+from conftest import positive_trace, sine_series, write_trace_csv
 
 
 def train_args(trace, out_dir, **overrides):
@@ -109,6 +109,31 @@ def test_predict_matches_training_fits(trace_file, tmp_path):
     d_max = report["normalization"]["d_max"]
     for recorded, value in zip(test_norm, tail):
         assert value == pytest.approx(recorded * (d_max - d_min) + d_min, abs=1e-12)
+
+
+def test_report_scores_the_forecast_rows_bit_for_bit(tmp_path):
+    # forward_batch's row tiles make a row's last bits depend on its position
+    # in the call, so the report must score the forecast's own predictions.
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, 10 + sine_series(0, 2000))
+    options = {
+        "--window": "10", "--population": "4", "--generations": "1", "--seed": "0",
+        "--hidden-min": "9", "--hidden-max": "9", "--depth-max": "1",
+    }
+    out = tmp_path / "run"
+    assert main(train_args(trace, out, **options)) == 0
+    report = json.loads((out / "report.json").read_text())
+    with (out / "forecast.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    test_rows = [float(r["predicted_normalized"]) for r in rows if r["split"] == "test"]
+    assert report["forecast"]["test_predicted_normalized"] == test_rows
+    assert report["metrics"]["test"]["count"] == len(test_rows) == 796
+
+    ablate = ["ablate", *train_args(trace, tmp_path / "ablation", **options)[1:], "--seeds", "1"]
+    assert main(ablate) == 0
+    runs = json.loads((tmp_path / "ablation" / "ablation.json").read_text())["runs"]
+    full = next(r for r in runs if r["mode"] == "full")
+    assert {k: full[k] for k in report["metrics"]["test"]} == report["metrics"]["test"]
 
 
 def test_predict_window_mismatch(trace_file, tmp_path, capsys):

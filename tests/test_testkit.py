@@ -59,47 +59,3 @@ def test_oracle_accepts_reversals_far_below_zero():
     value = testkit.oracle_forward(genome, row)
     assert np.isfinite(value)
     assert abs(value - network.forward(genome, row)) <= 1e-12
-
-
-def test_recombination_validity_report():
-    report = testkit.check_recombination_validity(300, np.random.default_rng(7))
-    assert report.ok
-    assert report.cases_run == 300
-    assert report.max_abs_deviation == 0.0
-    assert report.failures == []
-
-
-def test_recombination_validity_rejects_bad_trials():
-    with pytest.raises(ValueError):
-        testkit.check_recombination_validity(0, np.random.default_rng(0))
-
-
-def test_selection_distribution_degenerate_simplex():
-    report = testkit.check_selection_distribution((1.0, 0.0, 0.0), 10_000, np.random.default_rng(0))
-    assert report.ok
-    assert report.max_abs_deviation == pytest.approx(0.0, abs=1e-12)
-
-
-def test_selection_distribution_typical():
-    report = testkit.check_selection_distribution(
-        (0.2, 0.3, 0.5), 100_000, np.random.default_rng(1)
-    )
-    assert report.ok
-    assert report.max_abs_deviation <= 0.01
-
-
-def test_selection_distribution_uniform():
-    report = testkit.check_selection_distribution(
-        (1 / 3, 1 / 3, 1 / 3), 100_000, np.random.default_rng(2)
-    )
-    assert report.ok
-
-
-def test_selection_distribution_validates_simplex():
-    with pytest.raises(ValueError):
-        testkit.check_selection_distribution((0.5, 0.5, 0.5), 100, np.random.default_rng(0))
-
-
-def test_oracle_report_flags_failures():
-    report = testkit.OracleReport(max_abs_deviation=0.5, cases_run=10, failures=["case 3"], tolerance=0.1)
-    assert not report.ok
