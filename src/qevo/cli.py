@@ -63,18 +63,16 @@ class RunConfig:
 
     def selected_metrics(self) -> list[str]:
         names = [m.strip() for m in self.metrics.split(",") if m.strip()]
+        if not names:
+            raise InputError(f"--metrics names no metric; choose from {_METRIC_NAMES}")
         for name in names:
             if name not in _METRIC_NAMES:
                 raise InputError(f"unknown metric {name!r}; choose from {_METRIC_NAMES}")
         return names
 
     def trace_format(self) -> trace_io.TraceFormat:
-        return trace_io.TraceFormat(
-            timestamp_col=self.timestamp_col,
-            value_col=self.value_col,
-            delimiter=self.delimiter,
-            header=self.header,
-        )
+        names = (f.name for f in fields(trace_io.TraceFormat))
+        return trace_io.TraceFormat(**{name: getattr(self, name) for name in names})
 
     def training_config(self, seed: int | None = None, mode: str | None = None):
         """The evolve settings; a value evolve rejects is a usage error."""
@@ -94,8 +92,17 @@ class RunConfig:
             raise InputError(f"bad training setting: {exc}") from None
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in _BOOLS:
+        raise ValueError(f"{raw!r} is not one of {', '.join(_BOOLS)}")
+    return _BOOLS[raw.lower()]
+
+
 # Config-file keys are RunConfig's fields; a value parses as its default's type.
-_PARSE = {int: int, float: float, bool: lambda v: v.lower() in ("1", "true", "yes")}
+_PARSE = {int: int, float: float, bool: _parse_bool}
 _CONFIG_KEYS = {f.name: _PARSE.get(type(f.default), str) for f in fields(RunConfig)}
 
 
@@ -122,40 +129,38 @@ def load_config_file(path: str | Path) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(load_config_file(args.config))
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The settings given in the config file and as flags (flags win)."""
+    merged = load_config_file(args.config) if args.config else {}
     for key in RunConfig.__dataclass_fields__:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
-    if getattr(args, "no_header", False):
-        merged["header"] = False
-    return RunConfig(**merged)
+    return merged
 
 
-def _load_series(cfg: RunConfig) -> trace_io.AggregatedSeries:
+def _windows(cfg: RunConfig, window: int, training: bool = False):
+    """Parse and aggregate cfg's trace, fit the normalizer on the series and
+    build its lag windows: (params, windows). Training needs a window on each
+    side of the split."""
     if not cfg.input:
         raise InputError("--input is required")
     if cfg.pi_minutes < 1:
         raise InputError("pi_minutes must be >= 1")
-    trace = trace_io.parse_trace(cfg.input, cfg.trace_format())
-    return trace_io.aggregate(trace, cfg.pi_minutes)
-
-
-def _prepare_datasets(cfg: RunConfig):
-    series = _load_series(cfg)
-    if len(series.values) < cfg.window + 2:
+    series = trace_io.aggregate(trace_io.parse_trace(cfg.input, cfg.trace_format()), cfg.pi_minutes)
+    if training and len(series.values) < window + 2:
         raise SeriesTooShortError(
             f"aggregated series has {len(series.values)} values; "
-            f"training needs at least window + 2 = {cfg.window + 2}"
+            f"training needs at least window + 2 = {window + 2}"
         )
     params = dataset.fit_normalizer(series)
-    normalized = dataset.normalize(np.asarray(series.values), params)
-    windows = dataset.build_windows(normalized, cfg.window)
-    train_ds, test_ds = dataset.split(windows, cfg.train_frac)
-    return series, params, windows, train_ds, test_ds
+    return params, dataset.build_windows(dataset.normalize(np.asarray(series.values), params), window)
+
+
+def _run_section(cfg: RunConfig, **extra) -> dict:
+    """A report's `run` section: the shared settings, then `extra`."""
+    shared = ("pi_minutes", "window", "population", "generations", "train_frac")
+    return {**{key: getattr(cfg, key) for key in shared}, **extra}
 
 
 def _metric_dict(actual, predicted, names: list[str]) -> dict:
@@ -243,7 +248,8 @@ def _write_json(payload: dict, path: Path) -> None:
 def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
     training_config = cfg.training_config()
     names = cfg.selected_metrics()
-    series, params, windows, train_ds, test_ds = _prepare_datasets(cfg)
+    params, windows = _windows(cfg, cfg.window, training=True)
+    train_ds, test_ds = dataset.split(windows, cfg.train_frac)
     best, run = evolve.train(training_config, train_ds, checkpoint_dir=checkpoint_dir)
     evolve.convergence_monitor(run.fitness_trajectory)
 
@@ -259,17 +265,10 @@ def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
     write_forecast_csv(rows, out_dir / "forecast.csv")
     payload = {
         "schema": REPORT_SCHEMA,
-        "run": {
-            "pi_minutes": cfg.pi_minutes,
-            "window": cfg.window,
-            "population": cfg.population,
-            "generations": cfg.generations,
-            "train_frac": cfg.train_frac,
-            "seed": cfg.seed,
-            "mode": cfg.mode,
-            "hidden_range": [cfg.hidden_min, cfg.hidden_max],
-            "depth_range": [cfg.depth_min, cfg.depth_max],
-        },
+        "run": _run_section(
+            cfg, seed=cfg.seed, mode=cfg.mode,
+            hidden_range=[cfg.hidden_min, cfg.hidden_max], depth_range=[cfg.depth_min, cfg.depth_max],
+        ),
         "normalization": {"d_min": params.d_min, "d_max": params.d_max},
         "training": run.to_dict(),
         "metrics": {
@@ -291,18 +290,17 @@ def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
 
 
 def cmd_predict(cfg: RunConfig, explicit_window: int | None = None) -> int:
+    """Forecast cfg's trace; `explicit_window`, the window the flags or the
+    config file set, must match the genome's input width."""
     if not cfg.genome:
         raise InputError("--genome is required")
     genome = network.load_genome(cfg.genome)
     n = genome.architecture.input_width
     if explicit_window is not None and explicit_window != n:
         raise DimensionMismatchError(
-            f"--window {explicit_window} does not match genome input width {n}"
+            f"window {explicit_window} does not match genome input width {n}"
         )
-    series = _load_series(cfg)
-    params = dataset.fit_normalizer(series)
-    normalized = dataset.normalize(np.asarray(series.values), params)
-    windows = dataset.build_windows(normalized, n)
+    params, windows = _windows(cfg, n)
     rows = _forecast_rows(genome, windows, params, split_at=len(windows), head="series")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,7 +314,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
         raise InputError("seeds must be >= 1")
     cfg.training_config()  # usage errors before the data is read
     names = cfg.selected_metrics()
-    series, params, windows, train_ds, test_ds = _prepare_datasets(cfg)
+    params, windows = _windows(cfg, cfg.window, training=True)
+    train_ds, test_ds = dataset.split(windows, cfg.train_frac)
     modes = [m.value for m in evolve.TrainingMode]
     seeds = [cfg.seed + k for k in range(cfg.seeds)]
     runs = []
@@ -344,14 +343,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": ABLATION_SCHEMA,
-        "run": {
-            "pi_minutes": cfg.pi_minutes,
-            "window": cfg.window,
-            "population": cfg.population,
-            "generations": cfg.generations,
-            "train_frac": cfg.train_frac,
-            "seeds": seeds,
-        },
+        "run": _run_section(cfg, seeds=seeds),
         "runs": runs,
         "medians": medians,
     }
@@ -435,8 +427,11 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timestamp-col", dest="timestamp_col", help="timestamp column name or index")
     parser.add_argument("--value-col", dest="value_col", help="value column name or index")
     parser.add_argument("--delimiter", help="CSV delimiter (default ,)")
-    parser.add_argument("--no-header", action="store_true", help="file has no header row")
+    parser.add_argument("--no-header", dest="header", action="store_false", default=None,
+                        help="file has no header row")
     parser.add_argument("--pi-minutes", dest="pi_minutes", type=int, help="prediction interval in minutes")
+    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
+    parser.add_argument("--config", help="flat key=value config file")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -464,27 +459,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p_train)
     p_train.add_argument("--ablate-mode", dest="mode", choices=[m.value for m in evolve.TrainingMode],
                          help="training mode (default full)")
-    p_train.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p_train.add_argument("--config", help="flat key=value config file")
     p_train.add_argument("--checkpoint-dir", dest="checkpoint_dir", help="write per-generation checkpoints here")
 
     p_predict = sub.add_parser("predict", help="forecast a series with a trained genome")
     _add_trace_flags(p_predict)
     p_predict.add_argument("--genome", help="trained genome file")
     p_predict.add_argument("--window", type=int, help="expected window size (checked against genome)")
-    p_predict.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p_predict.add_argument("--config", help="flat key=value config file")
 
     p_ablate = sub.add_parser("ablate", help="run full/fixed-arch/fixed-all over several seeds")
     _add_trace_flags(p_ablate)
     _add_train_flags(p_ablate)
     p_ablate.add_argument("--seeds", type=int, help="number of consecutive seeds (default 5)")
-    p_ablate.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p_ablate.add_argument("--config", help="flat key=value config file")
 
     p_plot = sub.add_parser("plot-data", help="emit plot-ready CSV and a simple SVG chart")
-    p_plot.add_argument("--forecast", help="forecast.csv from train/predict")
-    p_plot.add_argument("--report", help="report.json from train")
+    source = p_plot.add_mutually_exclusive_group(required=True)
+    source.add_argument("--forecast", help="forecast.csv from train/predict")
+    source.add_argument("--report", help="report.json from train")
     p_plot.add_argument("--out-dir", dest="out_dir", default="out", help="output directory")
 
     return parser
@@ -494,16 +484,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(_merge_config(args), checkpoint_dir=args.checkpoint_dir)
-        if args.command == "predict":
-            return cmd_predict(_merge_config(args), explicit_window=args.window)
-        if args.command == "ablate":
-            return cmd_ablate(_merge_config(args))
         if args.command == "plot-data":
-            if not args.forecast and not args.report:
-                raise InputError("plot-data needs --forecast or --report")
             return cmd_plot_data(args.forecast, args.report, args.out_dir)
+        given = _merge_config(args)
+        cfg = RunConfig(**given)
+        if args.command == "train":
+            return cmd_train(cfg, checkpoint_dir=args.checkpoint_dir)
+        if args.command == "predict":
+            return cmd_predict(cfg, explicit_window=given.get("window"))
+        return cmd_ablate(cfg)
     except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,12 +46,17 @@ class TraceFormat:
 
     `timestamp_col` / `value_col` are header names when `header` is true,
     otherwise zero-based column indexes (integers, or digit strings).
+    `delimiter` is one character; any other raises InputError.
     """
 
     timestamp_col: str | int = "timestamp"
     value_col: str | int = "value"
     delimiter: str = ","
     header: bool = True
+
+    def __post_init__(self):
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise InputError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
 @dataclass(frozen=True)

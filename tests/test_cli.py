@@ -1,12 +1,22 @@
+import contextlib
 import csv
+import io
 import json
+import re
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qevo import evolve, network, trace_io
-from qevo.cli import FORECAST_COLUMNS, FORECAST_SCHEMA, main, read_forecast_csv, write_forecast_csv
+from qevo.cli import (
+    FORECAST_COLUMNS, FORECAST_SCHEMA, load_config_file, main, read_forecast_csv, write_forecast_csv,
+)
+from qevo.errors import InputError
 
 from conftest import positive_trace, sine_series, write_trace_csv
 
@@ -153,6 +163,17 @@ def test_predict_window_mismatch(trace_file, tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_predict_checks_a_config_file_window(trace_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(train_args(trace_file, out)) == 0  # a width-5 genome
+    cfg = tmp_path / "predict.cfg"
+    cfg.write_text(f"input = {trace_file}\npi_minutes = 1\nwindow = 12\n")
+    args = ["predict", "--config", str(cfg), "--genome", str(out / "genome.bin"), "--out-dir", str(tmp_path / "p")]
+    assert main(args) == 1
+    assert "window 12 does not match genome input width 5" in capsys.readouterr().err
+    assert main([*args, "--window", "5"]) == 0  # the flag wins over the file
+
+
 def test_predict_series_too_short(trace_file, tmp_path):
     out = tmp_path / "run"
     assert main(train_args(trace_file, out)) == 0
@@ -237,6 +258,14 @@ def test_plot_data_from_report(trace_file, tmp_path):
     assert (out / "plot" / "chart.svg").exists()
 
 
+@pytest.mark.parametrize("sources", [[], ["--forecast", "f.csv", "--report", "r.json"]], ids=["neither", "both"])
+def test_plot_data_takes_exactly_one_source(tmp_path, capsys, sources):
+    with pytest.raises(SystemExit) as exc:
+        main(["plot-data", *sources, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--forecast" in capsys.readouterr().err
+
+
 def test_plot_data_empty_forecast(tmp_path, capsys):
     empty = tmp_path / "forecast.csv"
     empty.write_text("# schema: qevo.forecast/1\nindex,split,actual,predicted,actual_normalized,predicted_normalized\n")
@@ -301,6 +330,53 @@ def test_config_file_with_flag_override(trace_file, tmp_path):
     assert report["run"]["window"] == 5  # file value honored
 
 
+def test_no_header_reads_columns_by_index(tmp_path):
+    values = positive_trace(0)
+    write_trace_csv(tmp_path / "with.csv", values)
+    write_trace_csv(tmp_path / "without.csv", values, header=False)
+    assert main(train_args(tmp_path / "with.csv", tmp_path / "a")) == 0
+    by_index = {"--timestamp-col": "0", "--value-col": "1"}
+    assert main([*train_args(tmp_path / "without.csv", tmp_path / "b", **by_index), "--no-header"]) == 0
+    assert (tmp_path / "a" / "forecast.csv").read_bytes() == (tmp_path / "b" / "forecast.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "spelling, value",
+    [("1", True), ("true", True), ("YES", True), ("0", False), ("False", False), ("no", False)],
+)
+def test_config_file_booleans(tmp_path, spelling, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"header = {spelling}\n")
+    assert load_config_file(cfg) == {"header": value}
+
+
+def test_config_file_misspelt_boolean_is_usage_error(trace_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# headerless?\nheader = ture\n")
+    with pytest.raises(InputError, match=f"{re.escape(str(cfg))}:2: bad value for header"):
+        load_config_file(cfg)
+    assert main([*train_args(trace_file, tmp_path / "out"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "'ture'" in err
+
+
+@pytest.mark.parametrize(
+    "extra, config",
+    [(["--delimiter", ""], None), (["--delimiter", ";;"], None), ([], "delimiter = ;;\n")],
+    ids=["empty-flag", "two-char-flag", "two-char-config"],
+)
+def test_delimiter_that_is_not_one_character_is_usage_error(trace_file, tmp_path, capsys, extra, config):
+    genome = tmp_path / "genome.bin"
+    network.save_genome(network.random_genome(network.Architecture(5, (3,)), np.random.default_rng(0)), genome)
+    args = ["predict", "--genome", str(genome), "--input", str(trace_file), "--out-dir", str(tmp_path / "out"), *extra]
+    if config:
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "delimiter must be one character" in err
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_key = 1\n")
@@ -325,14 +401,25 @@ def test_train_checkpoint_dir_on_a_file_fails_before_training(trace_file, tmp_pa
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
-def test_unknown_metric_fails_before_the_data_is_read(trace_file, tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize(
+    "command, metrics, message",
+    [
+        ("train", "rmse,bogus", "bogus"),
+        ("ablate", "rmse,bogus", "bogus"),
+        ("train", ",", "names no metric"),
+        ("ablate", ",", "names no metric"),
+    ],
+    ids=["train", "ablate", "train-empty", "ablate-empty"],
+)
+def test_unknown_metric_fails_before_the_data_is_read(
+    trace_file, tmp_path, monkeypatch, capsys, command, metrics, message
+):
     monkeypatch.setattr(trace_io, "parse_trace", lambda *a: pytest.fail("trace read"))
     monkeypatch.setattr(evolve, "train", lambda *a, **k: pytest.fail("training started"))
-    args = train_args(trace_file, tmp_path / "out", **{"--metrics": "rmse,bogus"})
+    args = train_args(trace_file, tmp_path / "out", **{"--metrics": metrics})
     args[0] = command
     assert main(args) == 2
-    assert "bogus" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_train_metrics_flag_selects_the_report_metrics(trace_file, tmp_path):
@@ -413,3 +500,101 @@ def test_write_forecast_csv_matches_csv_writer(tmp_path):
     write_forecast_csv(rows, tmp_path / "fast.csv")
     _csv_writer_reference(rows, tmp_path / "reference.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# The CLI backstop: over generated argv, config files and inputs, `main`
+# returns a documented exit code or exits through argparse's usage error.
+_TRACE_FLAGS = {
+    "--pi-minutes": ["1", "5", "0", "-1"],
+    "--timestamp-col": ["timestamp", "0", "missing"],
+}
+_TRAIN_FLAGS = {
+    "--window": ["1", "3", "5", "0", "-1"],
+    "--population": ["4", "5", "6", "0", "-1"],
+    "--generations": ["0", "1", "2", "-1"],
+    "--train-frac": ["0.6", "0.5", "0", "1"],
+    "--hidden-min": ["2", "3", "0"],
+    "--hidden-max": ["3", "4", "-1"],
+    "--depth-max": ["1", "2", "0"],
+    "--metrics": ["rmse", "mae,mape", "", ",", "bogus"],
+}
+_COMMAND_FLAGS = {
+    "train": {**_TRACE_FLAGS, **_TRAIN_FLAGS, "--ablate-mode": ["full", "fixed-all"]},
+    "predict": {**_TRACE_FLAGS, "--window": ["3", "0", "-1"]},
+    "ablate": {**_TRACE_FLAGS, **_TRAIN_FLAGS, "--seeds": ["1", "2", "0", "-1"]},
+}
+_CONFIG_LINES = [
+    "header = ture", "header = no", "header = YES", "delimiter = ;;", "window = 0", "window = 3",
+    "generations = 1", "population = 4", "metrics = ,", "metrics = mae", "seeds = -1", "no_such_key = 1",
+]
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv with `{dir}` standing for the example's directory, files to write there)."""
+    command = draw(st.sampled_from(["train", "predict", "ablate", "plot-data"]))
+    files = {}
+    if command == "plot-data":
+        files["forecast"] = draw(st.sampled_from([
+            "# schema: qevo.forecast/1\nindex,split,actual,predicted\n3,test,1.5,1.25\n4,future,,2.0\n",
+            "index,split,actual,predicted\n", "not,a,forecast\n",
+        ]))
+        files["report"] = draw(st.sampled_from([
+            '{"forecast": {"test_actual_normalized": [0.5, 1.0], "test_predicted_normalized": [0.25, 1.0]}}',
+            "{}", "not json",
+        ]))
+        argv = [command]
+        for flag in draw(st.sampled_from([["--forecast"], ["--report"], [], ["--forecast", "--report"]])):
+            name = draw(st.sampled_from([flag[2:], flag[2:], "missing"]))
+            argv += [flag, f"{{dir}}/{name}"]
+        return argv + ["--out-dir", "{dir}/out"], files
+
+    points = draw(st.sampled_from([0, 1, 5, 40, 120, 199, 199]))
+    values = draw(st.sampled_from([positive_trace(draw(st.integers(0, 9)), points).tolist(), [4.0] * points]))
+    header = draw(st.booleans())
+    step = draw(st.sampled_from([30, 60, 300]))
+    rows = [f"{i * step},{v!r}" for i, v in enumerate(values)]
+    delimiter = draw(st.sampled_from([",", ";"]))
+    files["trace.csv"] = "\n".join((["timestamp,value"] if header else []) + rows).replace(",", delimiter) + "\n"
+    argv = [command, "--input", draw(st.sampled_from(["{dir}/trace.csv"] * 5 + ["{dir}/missing.csv"]))]
+    argv += ["--out-dir", "{dir}/out"]
+    if command != "predict":
+        argv += ["--window", "3", "--population", "4", "--generations", "1"]
+        argv += ["--hidden-min", "2", "--hidden-max", "4", "--depth-max", "2"]
+    if command == "ablate":
+        argv += ["--seeds", "1"]
+    argv += ["--delimiter", draw(st.sampled_from([delimiter] * 4 + ["", ";;"]))]
+    if not header:
+        argv += ["--no-header", "--timestamp-col", "0", "--value-col", "1"]
+    if command == "predict":
+        width = draw(st.integers(1, 5))
+        files["genome.bin"] = network.random_genome(network.Architecture(width, (3,)), np.random.default_rng(0))
+        argv += ["--genome", draw(st.sampled_from(["{dir}/genome.bin"] * 5 + ["{dir}/missing.bin"]))]
+    flags = _COMMAND_FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
+        argv += [flag, draw(st.sampled_from(flags[flag]))]
+    lines = draw(st.lists(st.sampled_from(_CONFIG_LINES), max_size=2, unique=True))
+    if lines:
+        files["run.cfg"] = "\n".join(lines) + "\n"
+        argv += ["--config", "{dir}/run.cfg"]
+    return argv, files
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=cli_cases())
+def test_main_ends_every_argv_in_a_documented_exit_code(case):
+    template, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            if name == "genome.bin":
+                network.save_genome(content, Path(tmp) / name)
+            else:
+                (Path(tmp) / name).write_text(content, encoding="utf-8")
+        argv = [arg.replace("{dir}", tmp) for arg in template]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv  # argparse's own usage error
+                code = 2
+    assert code in (0, 1, 2), argv

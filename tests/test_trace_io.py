@@ -74,6 +74,14 @@ def test_parse_headerless_by_index(tmp_path):
     assert parse_trace(path, fmt).samples.tolist() == [[0.0, 2.0], [60.0, 4.0]]
 
 
+@pytest.mark.parametrize("delimiter", ["", ";;", None])
+def test_parse_a_delimiter_that_is_not_one_character_is_an_input_error(tmp_path, delimiter):
+    path = tmp_path / "t.csv"
+    path.write_text("t;v\n0;2\n60;4\n")
+    with pytest.raises(InputError, match="delimiter must be one character"):
+        parse_trace(path, TraceFormat(timestamp_col="t", value_col="v", delimiter=delimiter))
+
+
 def test_parse_unknown_column(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("t,v\n0,2\n")
