@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import statistics
 import sys
@@ -106,13 +107,22 @@ _PARSE = {int: int, float: float, bool: _parse_bool}
 _CONFIG_KEYS = {f.name: _PARSE.get(type(f.default), str) for f in fields(RunConfig)}
 
 
-def load_config_file(path: str | Path) -> dict:
-    """Parse a flat `key = value` config file; '#' starts a comment."""
+def _read_text(path: str | Path, kind: str) -> str:
+    """The text of an existing UTF-8 `kind` file, line endings as written."""
     path = Path(path)
     if not path.is_file():
-        raise FileNotFoundError(f"config file not found: {path}")
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end].hex(" ")
+        raise InputError(f"{path} is not UTF-8 text ({exc.reason}: {bad})") from None
+
+
+def load_config_file(path: str | Path) -> dict:
+    """Parse a flat `key = value` config file; '#' starts a comment."""
     values = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, "config").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -153,8 +163,8 @@ def _windows(cfg: RunConfig, window: int, training: bool = False):
             f"aggregated series has {len(series.values)} values; "
             f"training needs at least window + 2 = {window + 2}"
         )
-    params = dataset.fit_normalizer(series)
-    return params, dataset.build_windows(dataset.normalize(np.asarray(series.values), params), window)
+    params = dataset.fit_normalizer(series.values)
+    return params, dataset.build_windows(dataset.normalize(series.values, params), window)
 
 
 def _run_section(cfg: RunConfig, **extra) -> dict:
@@ -164,7 +174,7 @@ def _run_section(cfg: RunConfig, **extra) -> dict:
 
 
 def _metric_dict(actual, predicted, names: list[str]) -> dict:
-    result = metrics.evaluate(actual, predicted).to_dict()
+    result = metrics.evaluate(actual, predicted)
     return {k: result[k] for k in (*names, "count")}
 
 
@@ -214,12 +224,8 @@ def write_forecast_csv(rows: dict, path: Path) -> None:
 
 
 def read_forecast_csv(path: str | Path) -> list[dict]:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"forecast file not found: {path}")
     rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
+    lines = [ln for ln in io.StringIO(_read_text(path, "forecast"), newline="") if not ln.startswith("#")]
     reader = csv.DictReader(lines)
     if reader.fieldnames is None or "predicted" not in reader.fieldnames:
         raise MalformedReportError(f"{path} is not a forecast file")
@@ -322,6 +328,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     for mode in modes:
         for seed in seeds:
             best, run = evolve.train(cfg.training_config(seed=seed, mode=mode), train_ds)
+            evolve.convergence_monitor(run.fitness_trajectory)
             test_pred = network.forward_batch(best, windows.inputs)[len(train_ds) :]
             runs.append(
                 {
@@ -393,15 +400,12 @@ def write_chart_svg(actual: list[float], predicted: list[float], path: Path) -> 
 
 def cmd_plot_data(forecast_path: str, report_path: str | None, out_dir: str) -> int:
     if report_path:
-        path = Path(report_path)
-        if not path.is_file():
-            raise FileNotFoundError(f"report file not found: {path}")
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = json.loads(_read_text(report_path, "report"))
             actual = [float(v) for v in payload["forecast"]["test_actual_normalized"]]
             predicted = [float(v) for v in payload["forecast"]["test_predicted_normalized"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise MalformedReportError(f"{path}: not a training report: {exc}")
+            raise MalformedReportError(f"{report_path}: not a training report: {exc}")
     else:
         rows = [r for r in read_forecast_csv(forecast_path) if r["actual"] is not None]
         actual = [r["actual"] for r in rows]

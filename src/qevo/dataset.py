@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstantSeriesError, EmptyPartitionError, SeriesTooShortError
-from .trace_io import AggregatedSeries
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,9 @@ class WindowedDataset:
         return self.inputs.shape[0]
 
 
-def _series_values(series: AggregatedSeries | Sequence[float]) -> np.ndarray:
-    values = series.values if isinstance(series, AggregatedSeries) else series
-    return np.asarray(values, dtype=float)
-
-
-def fit_normalizer(series: AggregatedSeries | Sequence[float]) -> NormalizationParams:
+def fit_normalizer(series: Sequence[float]) -> NormalizationParams:
     """Fit min-max bounds on a series; constant series are rejected."""
-    values = _series_values(series)
+    values = np.asarray(series, dtype=float)
     if values.size < 2:
         raise SeriesTooShortError("need at least 2 values to fit a normalizer")
     d_min, d_max = float(values.min()), float(values.max())

@@ -8,24 +8,12 @@ zero actuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInputError, LengthMismatchError
 
 MAPE_FLOOR = 1e-8  # the smallest |actual| a MAPE term divides by
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    rmse: float
-    mae: float
-    mape: float
-    count: int
-
-    def to_dict(self) -> dict:
-        return {"rmse": self.rmse, "mae": self.mae, "mape": self.mape, "count": self.count}
 
 
 def _pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -56,6 +44,6 @@ def mape(actual, predicted) -> float:
     return float(np.mean(np.abs(a - p) / np.maximum(np.abs(a), MAPE_FLOOR)))
 
 
-def evaluate(actual, predicted) -> EvaluationResult:
+def evaluate(actual, predicted) -> dict:
     a, p = _pair(actual, predicted)
-    return EvaluationResult(rmse=rmse(a, p), mae=mae(a, p), mape=mape(a, p), count=int(a.size))
+    return {"rmse": rmse(a, p), "mae": mae(a, p), "mape": mape(a, p), "count": int(a.size)}

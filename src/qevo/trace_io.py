@@ -88,15 +88,11 @@ class RawTrace:
 
 @dataclass(frozen=True)
 class AggregatedSeries:
-    """Per-interval usage means as a read-only float64 array;
-    `interval_minutes` is the prediction interval."""
+    """Per-interval usage means as a read-only float64 array."""
 
-    interval_minutes: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.interval_minutes < 1:
-            raise ValueError("interval_minutes must be >= 1")
         values = np.array(self.values, dtype=np.float64)
         values.setflags(write=False)
         if not np.isfinite(values).all():
@@ -288,4 +284,4 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
         idx = np.arange(n_buckets)
         means = np.interp(idx, idx[occupied], means[occupied])
 
-    return AggregatedSeries(interval_minutes=interval_minutes, values=means)
+    return AggregatedSeries(values=means)

@@ -30,9 +30,8 @@ def _passed(text: str) -> None:
 
 def _split_sine(seed: int):
     values = sine_series(seed, points=2000)
-    series = trace_io.AggregatedSeries(interval_minutes=1, values=tuple(float(v) for v in values))
-    params = dataset.fit_normalizer(series)
-    windows = dataset.build_windows(dataset.normalize(np.asarray(series.values), params), 10)
+    params = dataset.fit_normalizer(values)
+    windows = dataset.build_windows(dataset.normalize(values, params), 10)
     return dataset.split(windows, 0.6)
 
 
@@ -276,8 +275,8 @@ def test_criterion_11_real_trace_quality():
     )
     trace = trace_io.parse_trace(path, fmt)
     series = trace_io.aggregate(trace, 5)
-    params = dataset.fit_normalizer(series)
-    windows = dataset.build_windows(dataset.normalize(np.asarray(series.values), params), 10)
+    params = dataset.fit_normalizer(series.values)
+    windows = dataset.build_windows(dataset.normalize(series.values, params), 10)
     train_ds, test_ds = dataset.split(windows, 0.6)
     best, _ = train(TrainingConfig(seed=0), train_ds)
     score = _test_rmse(best, test_ds)

@@ -236,6 +236,34 @@ def test_unreadable_trace_is_usage_error(tmp_path, capsys, command, data, messag
     assert "Traceback" not in err and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["train", "--config", "{dir}/run.cfg"], {"run.cfg": b"window = \xff\n"}, "is not UTF-8 text"),
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": b"index,split,actual,predicted\n3,test,1.5,\xff\n"},
+         "is not UTF-8 text"),
+        (["plot-data", "--report", "{dir}/r.json"], {"r.json": b'{"forecast": "\xff"}'}, "is not UTF-8 text"),
+        (["train", "--config", "{dir}/missing.cfg"], {}, "config file not found"),
+        (["train", "--config", "{dir}/run.cfg"], {"run.cfg": b"window 5\n"}, "expected 'key = value'"),
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": b"index,split,actual,predicted\nthree,test,1.5,1.25\n"},
+         "bad forecast row"),
+        (["train"], {}, "--input is required"),
+        (["predict", "--input", "{dir}/missing.csv"], {}, "--genome is required"),
+    ],
+    ids=[
+        "config-not-utf8", "forecast-not-utf8", "report-not-utf8", "config-missing", "config-line-without-equals",
+        "forecast-bad-row", "train-without-input", "predict-without-genome",
+    ],
+)
+def test_bad_file_or_missing_flag_is_usage_error(tmp_path, capsys, argv, files, message):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
+
+
 def test_plot_data_from_forecast(trace_file, tmp_path):
     out = tmp_path / "run"
     assert main(train_args(trace_file, out)) == 0
@@ -301,6 +329,21 @@ def test_ablate_runs_all_modes(trace_file, tmp_path):
     assert set(payload["medians"]) == {"full", "fixed-arch", "fixed-all"}
     csv_lines = (out / "ablation.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 2 + 6  # schema comment + header + rows
+
+
+def test_train_and_ablate_report_a_rising_best_fitness(trace_file, tmp_path, monkeypatch, capsys):
+    real_train = evolve.train
+
+    def rising(*args, **kwargs):
+        best, run = real_train(*args, **kwargs)
+        run.fitness_trajectory.append(run.fitness_trajectory[-1] + 1.0)
+        return best, run
+
+    monkeypatch.setattr(evolve, "train", rising)
+    for command, extra in (("train", []), ("ablate", ["--seeds", "1"])):
+        args = [command, *train_args(trace_file, tmp_path / command)[1:], *extra]
+        assert main(args) == 1, command
+        assert "best fitness rose" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(trace_file, tmp_path):
@@ -524,8 +567,9 @@ _COMMAND_FLAGS = {
     "ablate": {**_TRACE_FLAGS, **_TRAIN_FLAGS, "--seeds": ["1", "2", "0", "-1"]},
 }
 _CONFIG_LINES = [
-    "header = ture", "header = no", "header = YES", "delimiter = ;;", "window = 0", "window = 3",
-    "generations = 1", "population = 4", "metrics = ,", "metrics = mae", "seeds = -1", "no_such_key = 1",
+    b"header = ture", b"header = no", b"header = YES", b"delimiter = ;;", b"window = 0", b"window = 3",
+    b"generations = 1", b"population = 4", b"metrics = ,", b"metrics = mae", b"seeds = -1", b"no_such_key = 1",
+    b"window = \xff",
 ]
 
 
@@ -536,12 +580,12 @@ def cli_cases(draw):
     files = {}
     if command == "plot-data":
         files["forecast"] = draw(st.sampled_from([
-            "# schema: qevo.forecast/1\nindex,split,actual,predicted\n3,test,1.5,1.25\n4,future,,2.0\n",
-            "index,split,actual,predicted\n", "not,a,forecast\n",
+            b"# schema: qevo.forecast/1\nindex,split,actual,predicted\n3,test,1.5,1.25\n4,future,,2.0\n",
+            b"index,split,actual,predicted\n", b"not,a,forecast\n", b"index,split,actual,predicted\n3,test,\xff,1.25\n",
         ]))
         files["report"] = draw(st.sampled_from([
-            '{"forecast": {"test_actual_normalized": [0.5, 1.0], "test_predicted_normalized": [0.25, 1.0]}}',
-            "{}", "not json",
+            b'{"forecast": {"test_actual_normalized": [0.5, 1.0], "test_predicted_normalized": [0.25, 1.0]}}',
+            b"{}", b"not json", b'{"forecast": "\xff"}',
         ]))
         argv = [command]
         for flag in draw(st.sampled_from([["--forecast"], ["--report"], [], ["--forecast", "--report"]])):
@@ -555,7 +599,7 @@ def cli_cases(draw):
     step = draw(st.sampled_from([30, 60, 300]))
     rows = [f"{i * step},{v!r}" for i, v in enumerate(values)]
     delimiter = draw(st.sampled_from([",", ";"]))
-    files["trace.csv"] = "\n".join((["timestamp,value"] if header else []) + rows).replace(",", delimiter) + "\n"
+    files["trace.csv"] = ("\n".join((["timestamp,value"] if header else []) + rows).replace(",", delimiter) + "\n").encode()
     argv = [command, "--input", draw(st.sampled_from(["{dir}/trace.csv"] * 5 + ["{dir}/missing.csv"]))]
     argv += ["--out-dir", "{dir}/out"]
     if command != "predict":
@@ -575,7 +619,7 @@ def cli_cases(draw):
         argv += [flag, draw(st.sampled_from(flags[flag]))]
     lines = draw(st.lists(st.sampled_from(_CONFIG_LINES), max_size=2, unique=True))
     if lines:
-        files["run.cfg"] = "\n".join(lines) + "\n"
+        files["run.cfg"] = b"\n".join(lines) + b"\n"
         argv += ["--config", "{dir}/run.cfg"]
     return argv, files
 
@@ -589,7 +633,7 @@ def test_main_ends_every_argv_in_a_documented_exit_code(case):
             if name == "genome.bin":
                 network.save_genome(content, Path(tmp) / name)
             else:
-                (Path(tmp) / name).write_text(content, encoding="utf-8")
+                (Path(tmp) / name).write_bytes(content)
         argv = [arg.replace("{dir}", tmp) for arg in template]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:

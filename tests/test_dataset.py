@@ -3,7 +3,6 @@ import pytest
 
 from qevo import dataset
 from qevo.errors import ConstantSeriesError, EmptyPartitionError, SeriesTooShortError
-from qevo.trace_io import AggregatedSeries
 
 
 def test_fit_normalizer_min_max():
@@ -19,12 +18,6 @@ def test_fit_normalizer_constant_series():
 def test_fit_normalizer_negative_values():
     params = dataset.fit_normalizer([-1.0, 0.0, 3.0])
     assert (params.d_min, params.d_max) == (-1.0, 3.0)
-
-
-def test_fit_normalizer_accepts_aggregated_series():
-    series = AggregatedSeries(interval_minutes=5, values=(1.0, 3.0))
-    params = dataset.fit_normalizer(series)
-    assert (params.d_min, params.d_max) == (1.0, 3.0)
 
 
 def test_normalize_values():

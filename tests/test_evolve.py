@@ -217,8 +217,9 @@ def test_recombine_identical_parents_identity():
 def test_recombine_hand_widths():
     p1 = const_genome(Architecture(2, (2,)), 1.0)
     p2 = const_genome(Architecture(2, (3,)), 2.0)
-    # u = 0.6 puts both cuts after the second neuron: c1 = c2 = 2
-    c1, c2 = recombine(p1, p2, np.random.default_rng(0), level=1, cut_fraction=0.6)
+    # Both cuts after the second neuron at level 1: keep = donor_cut = 2
+    rng = np.random.default_rng(0)
+    c1, c2 = evolve._splice(p1, p2, 1, 2, 2, rng), evolve._splice(p2, p1, 1, 2, 2, rng)
     assert c1.architecture.hidden_widths == (3,)  # 2 + (3 - 2)
     assert c2.architecture.hidden_widths == (2,)  # 2 + (2 - 2)
     assert c1.phases.size == layout(c1.architecture).total_length
@@ -228,7 +229,8 @@ def test_recombine_hand_widths():
 def test_recombine_moves_whole_bundles():
     p1 = const_genome(Architecture(2, (3,)), 1.0)
     p2 = const_genome(Architecture(2, (3,)), 2.0)
-    c1, _ = recombine(p1, p2, np.random.default_rng(0), level=1, cut_fraction=1 / 3)
+    # keep = donor_cut = 2 at level 1: two bundles from p1, the third from p2
+    c1 = evolve._splice(p1, p2, 1, 2, 2, np.random.default_rng(0))
     assert c1.architecture.hidden_widths == (3,)
     hidden, output = layout(c1.architecture).transitions
     w_in = c1.phases[hidden.weight_slice].reshape(hidden.w_in, hidden.w_out)
@@ -258,8 +260,11 @@ def test_spliced_children_equal_validated_genomes(input_width, hidden, scale, dr
         for arch in (Architecture(input_width, tuple(h)) for h in hidden)
     )
     level = draw.draw(st.integers(1, min(len(h) for h in hidden)))
-    cut = draw.draw(st.floats(0.0, 1.0, exclude_max=True))
-    for child in recombine(p1, p2, rng, level=level, cut_fraction=cut):
+    cut1, cut2 = (draw.draw(st.integers(1, h[level - 1])) for h in hidden)
+    for child in (
+        evolve._splice(p1, p2, level, cut1, cut2, rng),
+        evolve._splice(p2, p1, level, cut2, cut1, rng),
+    ):
         assert child.phases.shape == (layout(child.architecture).total_length,)
         assert child.phases.dtype == np.float64 and child.phases.flags.c_contiguous
         assert not child.phases.flags.writeable
@@ -320,6 +325,13 @@ def test_select_survivor_first_of_equal_children():
     a, b = const_genome(arch, 1.0), const_genome(arch, 2.0)
     genome, _, _ = select_survivor((const_genome(arch, 0.0), 0.9), [(a, 0.5), (b, 0.5)])
     assert genome is a
+
+
+@pytest.mark.parametrize("current_fit, child_fit", [(float("nan"), 0.1), (0.2, float("inf"))])
+def test_select_survivor_rejects_a_non_finite_fitness(current_fit, child_fit):
+    arch = Architecture(1, (1,))
+    with pytest.raises(ValueError, match="non-finite fitness"):
+        select_survivor((const_genome(arch, 0.0), current_fit), [(const_genome(arch, 1.0), child_fit)])
 
 
 # ------------------------------------------------------- random streams
@@ -507,6 +519,17 @@ def test_load_checkpoint_rejects_a_missing_key(tmp_path, checkpoint_payload, key
 def test_load_checkpoint_rejects_a_wrong_value(tmp_path, checkpoint_payload, key, value):
     with pytest.raises(CheckpointFormatError):
         _load_payload(tmp_path, {**checkpoint_payload, key: value})
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_load_checkpoint_rejects_an_unreadable_file(tmp_path, kind):
+    path = tmp_path / "checkpoint.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"schema": "\xff"}')
+    with pytest.raises(CheckpointFormatError, match="cannot read checkpoint"):
+        evolve.load_checkpoint(path)
 
 
 def test_load_checkpoint_round_trips(tmp_path, checkpoint_payload):

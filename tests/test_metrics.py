@@ -53,7 +53,7 @@ def test_metrics_match_brute_force():
 
 def test_evaluate_bundle():
     result = metrics.evaluate([0.2, 0.4], [0.3, 0.5])
-    assert result.rmse == pytest.approx(0.1)
-    assert result.count == 2
-    assert result.mae <= result.rmse
-    assert set(result.to_dict()) == {"rmse", "mae", "mape", "count"}
+    assert result["rmse"] == pytest.approx(0.1)
+    assert result["count"] == 2
+    assert result["mae"] <= result["rmse"]
+    assert set(result) == {"rmse", "mae", "mape", "count"}

@@ -145,6 +145,11 @@ def test_forward_dimension_mismatch():
     g = zeros_genome(Architecture(3, (2,)))
     with pytest.raises(DimensionMismatchError):
         forward(g, [0.1, 0.2])
+    # A row or matrix of the wrong rank, at each entry point.
+    row = [0.1, 0.2, 0.3]
+    for call in (lambda: forward(g, [row]), lambda: forward_batch(g, row), lambda: input_states(row)):
+        with pytest.raises(DimensionMismatchError, match="expected"):
+            call()
 
 
 def test_forward_batch_over_no_rows_is_empty():

@@ -58,6 +58,9 @@ def test_parse_empty_trace(tmp_path):
     path.write_text("t,v\n")
     with pytest.raises(EmptyTraceError):
         parse_trace(path, TraceFormat(timestamp_col="t", value_col="v"))
+    path.write_bytes(b"")  # not even the header
+    with pytest.raises(EmptyTraceError, match="no rows"):
+        parse_trace(path, TraceFormat(timestamp_col="t", value_col="v"))
 
 
 def test_parse_duplicate_timestamps_averaged(tmp_path):
@@ -156,9 +159,9 @@ def test_aggregate_output_length():
 
 def test_aggregated_series_validation():
     with pytest.raises(ValueError):
-        AggregatedSeries(interval_minutes=0, values=(1.0,))
+        aggregate(make_trace([(0.0, 1.0), (60.0, 2.0)]), 0)
     with pytest.raises(ValueError):
-        AggregatedSeries(interval_minutes=1, values=(float("nan"),))
+        AggregatedSeries(values=(float("nan"),))
 
 
 def test_trace_columns_are_read_only_float_arrays():
