@@ -40,7 +40,7 @@ from .errors import (
     PopulationTooSmallError,
 )
 from .metrics import rmse
-from .network import HALF_PI, Architecture, NetworkGenome, layout
+from .network import HALF_PI, Architecture, NetworkGenome, genome_length, transitions
 
 
 class Strategy(enum.Enum):
@@ -101,6 +101,8 @@ class TrainingConfig:
         object.__setattr__(self, "mode", TrainingMode(self.mode))
         if self.population_size < 4:
             raise ValueError("population_size must be >= 4 (modulation needs donors)")
+        if self.population_size >= 2**32:
+            raise ValueError("population_size must be below 2**32 (streams number candidates in 32 bits)")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         if self.window_size < 1:
@@ -184,8 +186,9 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _streams(seed: int, generation: int, indices: range):
-    """Yield, for each i in `indices` (each below 2**32), a generator in the
-    state of np.random.default_rng(np.random.SeedSequence((seed, generation, i))).
+    """Yield, for each i in `indices` (an ascending range below 2**32), a
+    generator in the state of
+    np.random.default_rng(np.random.SeedSequence((seed, generation, i))).
 
     SeedSequence's mix_entropy and generate_state(4, uint64) run for all
     indices at once in uint32; PCG64 then seeds from the words v as
@@ -194,7 +197,7 @@ def _streams(seed: int, generation: int, indices: range):
     drawing the next. It exists for speed: 4,080 streams took 46-58 ms, and
     default_rng((seed, generation, i)) 89-129 ms, on a 2-core x86 host.
     """
-    if indices and max(indices) > _MASK32:
+    if indices and indices[-1] > _MASK32:
         raise ValueError("stream indices must be below 2**32")
     # An int is its little-endian 32-bit words; 0 is one word.
     entropy = [
@@ -275,15 +278,17 @@ def update_probabilities(state: StrategyState) -> StrategyState:
 @functools.lru_cache(maxsize=256)
 def _aligned(base: Architecture, other: Architecture) -> np.ndarray:
     """For every entry of a `base` genome, the entry of an `other` genome in
-    the same block at the same offset, or -1 where the other's block is
-    shorter or missing. Read-only, cached per architecture pair."""
-    spans = {(t, kind): sl for t, kind, sl in layout(other).blocks()}
-    index = np.full(layout(base).total_length, -1, dtype=np.int32)
-    for t, kind, sl in layout(base).blocks():
-        if (t, kind) in spans:
-            theirs = spans[t, kind]
-            length = min(sl.stop - sl.start, theirs.stop - theirs.start)
-            index[sl.start : sl.start + length] = np.arange(theirs.start, theirs.start + length)
+    the same block (a transition's weights, bias or reversals) at the same
+    flat offset, or -1 where the other's block is shorter or missing.
+    Read-only, cached per architecture pair."""
+    index = np.full(genome_length(base), -1, dtype=np.int32)
+    theirs = transitions(other, np.arange(genome_length(other), dtype=np.int32))
+    for w, v, mine, yours in zip(base.widths, other.widths, transitions(base, index), theirs):
+        for dst, src in ((mine[:w], yours[:v]), (mine[w:-1], yours[v:-1]), (mine[-1:], yours[-1:])):
+            # Row slices of a contiguous matrix, so the reshapes are views.
+            dst, src = dst.reshape(-1), src.reshape(-1)
+            length = min(dst.size, src.size)
+            dst[:length] = src[:length]
     index.setflags(write=False)
     return index
 
@@ -343,78 +348,13 @@ def modulate(
     return NetworkGenome(base.architecture, _combine_blockwise(base, terms))
 
 
-@functools.lru_cache(maxsize=256)
-def _splice_plan(
-    p_arch: Architecture,
-    d_arch: Architecture,
-    level: int,
-    keep: int,
-    donor_cut: int,
-) -> tuple[Architecture, np.ndarray, tuple[int, ...]]:
-    """The child architecture of `_splice`, the source of every child entry,
-    and the sizes of the random pads, cached per argument tuple.
-
-    Sources index the primary's phases, then the donor's, then the pads in
-    the order they are drawn; a pad is drawn row after row.
-    """
-    new_width = keep + (d_arch.hidden_widths[level - 1] - donor_cut)
-    hidden = list(p_arch.hidden_widths)
-    hidden[level - 1] = new_width
-    child_arch = Architecture(p_arch.input_width, tuple(hidden))
-
-    lay_c = layout(child_arch)
-    lay_p = layout(p_arch)
-    lay_d = layout(d_arch)
-    primary = np.arange(lay_p.total_length)
-    donor = np.arange(lay_p.total_length, lay_p.total_length + lay_d.total_length)
-    source = np.empty(lay_c.total_length, dtype=np.int32)
-    pads: list[int] = []
-
-    def fit_rows(rows: np.ndarray, length: int) -> np.ndarray:
-        """Truncate or pad every transferred row to a new length."""
-        short = length - rows.shape[1]
-        if short <= 0:
-            return rows[:, :length]
-        start = lay_p.total_length + lay_d.total_length + sum(pads)
-        pads.append(rows.shape[0] * short)
-        pad = np.arange(start, start + pads[-1]).reshape(rows.shape[0], short)
-        return np.concatenate([rows, pad], axis=1)
-
-    # Everything before the level's incoming weights, and everything after its
-    # outgoing weights (the next layer's bias/reversal blocks onward), comes
-    # from the primary parent, at the same offsets counted from the front and
-    # from the back.
-    t_in, t_out = level - 1, level
-    head = lay_c.transitions[t_in].weight_start
-    source[:head] = primary[:head]
-    tail = lay_c.total_length - lay_c.transitions[t_out].weight_slice.stop
-    source[lay_c.total_length - tail :] = primary[lay_p.total_length - tail :]
-
-    # Incoming transition: columns are the level's neurons. `w` is a view, so
-    # the sources are written straight into `source`.
-    seg, p_seg, d_seg = (lay.transitions[t_in] for lay in (lay_c, lay_p, lay_d))
-    w = source[seg.weight_slice].reshape(seg.w_in, seg.w_out)
-    wp = primary[p_seg.weight_slice].reshape(p_seg.w_in, p_seg.w_out)
-    wd = donor[d_seg.weight_slice].reshape(d_seg.w_in, d_seg.w_out)
-    w[:, :keep] = wp[:, :keep]
-    w[:, keep:] = fit_rows(wd[:, donor_cut:].T, seg.w_in).T
-    for c0, p0, d0 in (
-        (seg.bias_start, p_seg.bias_start, d_seg.bias_start),
-        (seg.rev_start, p_seg.rev_start, d_seg.rev_start),
-    ):
-        source[c0 : c0 + keep] = primary[p0 : p0 + keep]
-        source[c0 + keep : c0 + seg.w_out] = donor[d0 + donor_cut : d0 + d_seg.w_out]
-
-    # Outgoing transition: rows are the level's neurons.
-    seg, p_seg, d_seg = (lay.transitions[t_out] for lay in (lay_c, lay_p, lay_d))
-    w = source[seg.weight_slice].reshape(seg.w_in, seg.w_out)
-    wp = primary[p_seg.weight_slice].reshape(p_seg.w_in, p_seg.w_out)
-    wd = donor[d_seg.weight_slice].reshape(d_seg.w_in, d_seg.w_out)
-    w[:keep, :] = wp[:keep, :]
-    w[keep:, :] = fit_rows(wd[donor_cut:, :], seg.w_out)
-
-    source.setflags(write=False)
-    return child_arch, source, tuple(pads)
+def _fit(rows: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
+    """`rows` truncated, or padded with uniform draws in [-pi/2, pi/2] drawn
+    row after row, to `length` columns."""
+    short = length - rows.shape[1]
+    if short <= 0:
+        return rows[:, :length]
+    return np.concatenate((rows, rng.uniform(-HALF_PI, HALF_PI, (rows.shape[0], short))), axis=1)
 
 
 def _splice(
@@ -428,15 +368,37 @@ def _splice(
     """Child keeping `primary`'s depth, with hidden layer `level` rebuilt from
     primary bundles [1..keep] followed by donor bundles [donor_cut+1..].
     Transferred rows are truncated or padded with uniform draws in
-    [-pi/2, pi/2] to the child's adjacent-layer widths."""
-    child_arch, source, pads = _splice_plan(
-        primary.architecture, donor.architecture, level, keep, donor_cut
+    [-pi/2, pi/2] to the child's adjacent-layer widths, the incoming
+    transition's pad drawn before the outgoing one's."""
+    p_arch, d_arch = primary.architecture, donor.architecture
+    d_width = d_arch.hidden_widths[level - 1]
+    hidden = list(p_arch.hidden_widths)
+    hidden[level - 1] = keep + d_width - donor_cut
+    p_in, p_out = primary.transitions[level - 1 : level + 1]
+    d_in, d_out = donor.transitions[level - 1 : level + 1]
+
+    # Incoming transition: columns are the level's neurons. A kept neuron
+    # takes the primary's whole column; a donor neuron takes the donor's
+    # weights, fitted to the child's source width, then its bias and reversal.
+    n = len(p_in) - 2
+    incoming = np.empty((n + 2, hidden[level - 1]))
+    incoming[:, :keep] = p_in[:, :keep]
+    incoming[:n, keep:] = _fit(d_in[:-2, donor_cut:].T, n, rng).T
+    incoming[n:, keep:] = d_in[-2:, donor_cut:]
+    # Outgoing weights: rows are the level's neurons.
+    outgoing = np.concatenate((p_out[:keep], _fit(d_out[donor_cut:d_width], p_out.shape[1], rng)))
+
+    # Everything before the incoming transition, and everything after the
+    # outgoing weights (that transition's bias and reversal rows onward), is
+    # the primary's.
+    head = sum(m.size for m in primary.transitions[: level - 1])
+    tail = head + p_in.size + p_in.shape[1] * p_out.shape[1]  # a weight row per level neuron
+    phases = np.concatenate(
+        (primary.phases[:head], incoming.ravel(), outgoing.ravel(), primary.phases[tail:])
     )
-    draws = [rng.uniform(-HALF_PI, HALF_PI, size) for size in pads]
-    # Every entry is a validated parent's phase or a finite draw, and the
-    # plan gives the layout's length, so the child skips re-validation.
-    phases = np.concatenate([primary.phases, donor.phases, *draws])[source]
-    return NetworkGenome._trusted(child_arch, phases)
+    # Every entry is a validated parent's phase or a finite draw, in the
+    # layout's order, so the child skips re-validation.
+    return NetworkGenome._trusted(Architecture(p_arch.input_width, tuple(hidden)), phases)
 
 
 def recombine(

@@ -7,10 +7,14 @@ an activated bias (hidden layers only), and re-rotate via a sigmoid-gated
 reversal parameter: psi = (pi/2)*sigmoid(rho) - arg(U). The output qubit is
 observed as sin(psi)^2, which lands in [0, 1] like the normalized targets.
 
-Genome layout, per transition between layer widths (w_in -> w_out):
-weight block of w_in*w_out phases stored source-major (W[i, j] connects
-source i to destination j), then for hidden destinations a bias block and a
-reversal block of w_out entries each; the output transition has no bias.
+Genome layout: the phase vector (and so `genome.bin`'s phase array) is the
+concatenation, transition after transition, of one row-major (rows, w_out)
+matrix per transition between layer widths w_in -> w_out. Rows 0..w_in-1
+are the weights (row i, column j connects source i to destination j); a
+hidden destination adds a bias row; the last row holds the destinations'
+reversal parameters. The output transition has no bias row. `genome_length`
+and `transitions` state this layout, and every other module reads it through
+them; `NetworkGenome.transitions` keeps a genome's views once made.
 
 `forward_states` evaluates the same map without per-row trigonometry. With
 the gate phase g = exp(i*(pi/2)*sigmoid(rho)), the next state is
@@ -116,71 +120,28 @@ class Architecture:
         return (self.input_width, *self.hidden_widths, 1)
 
 
-@dataclass(frozen=True)
-class TransitionLayout:
-    """Offsets of one transition's blocks inside the flat phase vector."""
-
-    w_in: int
-    w_out: int
-    weight_start: int
-    bias_start: int  # -1 when the destination layer has no bias (output)
-    rev_start: int
-    end: int
-
-    @property
-    def has_bias(self) -> bool:
-        return self.bias_start >= 0
-
-    @property
-    def weight_slice(self) -> slice:
-        return slice(self.weight_start, self.weight_start + self.w_in * self.w_out)
-
-    @property
-    def bias_slice(self) -> slice | None:
-        if not self.has_bias:
-            return None
-        return slice(self.bias_start, self.bias_start + self.w_out)
-
-    @property
-    def rev_slice(self) -> slice:
-        return slice(self.rev_start, self.rev_start + self.w_out)
-
-
-@dataclass(frozen=True)
-class GenomeLayout:
-    transitions: tuple[TransitionLayout, ...]
-    total_length: int
-
-    def blocks(self):
-        """Yield (transition_index, kind, slice) for every block, in order."""
-        for t, seg in enumerate(self.transitions):
-            yield t, "weight", seg.weight_slice
-            if seg.has_bias:
-                yield t, "bias", seg.bias_slice
-            yield t, "rev", seg.rev_slice
-
-
 @functools.lru_cache(maxsize=4096)
-def layout(arch: Architecture) -> GenomeLayout:
-    """Compute block offsets for an architecture; total equals genome length."""
-    widths = arch.widths
-    transitions = []
-    pos = 0
-    for t in range(len(widths) - 1):
-        w_in, w_out = widths[t], widths[t + 1]
-        weight_start = pos
-        pos += w_in * w_out
-        is_output = t == len(widths) - 2
-        bias_start = -1
-        if not is_output:
-            bias_start = pos
-            pos += w_out
-        rev_start = pos
-        pos += w_out
-        transitions.append(
-            TransitionLayout(w_in, w_out, weight_start, bias_start, rev_start, pos)
-        )
-    return GenomeLayout(transitions=tuple(transitions), total_length=pos)
+def _spans(arch: Architecture) -> tuple[tuple[int, int, tuple[int, int]], ...]:
+    """(start, stop, (rows, w_out)) of each transition's matrix: w_in weight
+    rows, a bias row unless the destination is the output, a reversal row."""
+    widths, spans, start = arch.widths, [], 0
+    for t, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
+        rows = w_in + (2 if t < arch.depth else 1)
+        spans.append((start, start + rows * w_out, (rows, w_out)))
+        start += rows * w_out
+    return tuple(spans)
+
+
+def genome_length(arch: Architecture) -> int:
+    """Phases in a genome of `arch`."""
+    return _spans(arch)[-1][1]
+
+
+def transitions(arch: Architecture, vector: np.ndarray) -> list[np.ndarray]:
+    """`vector`, laid out as a genome of `arch`, as one (rows, w_out) view per
+    transition: `m[:w_in]` are the weights, `m[w_in:-1]` the bias (no rows
+    for the output transition) and `m[-1]` the reversals."""
+    return [vector[start:stop].reshape(shape) for start, stop, shape in _spans(arch)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +153,7 @@ class NetworkGenome:
 
     def __post_init__(self):
         phases = np.ascontiguousarray(self.phases, dtype=float)
-        expected = layout(self.architecture).total_length
+        expected = genome_length(self.architecture)
         if phases.shape != (expected,):
             raise ValueError(
                 f"genome length {phases.shape} does not match layout ({expected},)"
@@ -209,9 +170,15 @@ class NetworkGenome:
             self.phases, other.phases
         )
 
+    @functools.cached_property
+    def transitions(self) -> list[np.ndarray]:
+        """`transitions(self.architecture, self.phases)`, made once: read-only
+        views, as the phases are."""
+        return transitions(self.architecture, self.phases)
+
     @classmethod
     def _trusted(cls, architecture: Architecture, phases: np.ndarray) -> NetworkGenome:
-        """Wrap a new, finite, C-contiguous float64 vector of the layout's length
+        """Wrap a new, finite, C-contiguous float64 vector of `genome_length`
         without re-checking it, and make it read-only. For internal children."""
         genome = object.__new__(cls)
         phases.setflags(write=False)
@@ -222,11 +189,10 @@ class NetworkGenome:
 
 def random_genome(arch: Architecture, rng: np.random.Generator) -> NetworkGenome:
     """Sample a genome: weights/biases uniform in [-pi/2, pi/2], reversals in [-1, 1]."""
-    lay = layout(arch)
-    phases = np.empty(lay.total_length)
-    for _, kind, sl in lay.blocks():
-        lo, hi = (-1.0, 1.0) if kind == "rev" else (-HALF_PI, HALF_PI)
-        phases[sl] = rng.uniform(lo, hi, sl.stop - sl.start)
+    phases = np.empty(genome_length(arch))
+    for m in transitions(arch, phases):
+        m[:-1] = rng.uniform(-HALF_PI, HALF_PI, m[:-1].shape)
+        m[-1] = rng.uniform(-1.0, 1.0, m.shape[1])
     return NetworkGenome(architecture=arch, phases=phases)
 
 
@@ -303,26 +269,24 @@ _TILE_MULTIPLY_ADDS = 2**19 - 1
 
 @functools.lru_cache(maxsize=4096)
 def _plan(arch: Architecture) -> _Plan:
-    lay = layout(arch)
-    transitions = lay.transitions
-    cos, neg_cos, neg_sin = 0, 2 * lay.total_length, 3 * lay.total_length
-    rev = [np.arange(seg.rev_start, seg.end) for seg in transitions]
-    dst = [np.arange(nxt.weight_slice.start, nxt.weight_slice.stop) for nxt in transitions[1:]]
-    src = [np.repeat(r, nxt.w_out) for r, nxt in zip(rev, transitions[1:])]
+    n = genome_length(arch)
+    mats = transitions(arch, np.arange(n))
+    in_widths = arch.widths[:-1]
+    cos, neg_cos, neg_sin = 0, 2 * n, 3 * n
+    rev = [m[-1] for m in mats]
+    dst = [m[:w_in].ravel() for w_in, m in zip(in_widths[1:], mats[1:])]
+    src = [np.repeat(r, m.shape[1]) for r, m in zip(rev, mats[1:])]
     gather, matrices, start = [], [], 0
-    for seg in transitions:
-        # P^T[j, i] is the weight from source i to destination j.
-        wt = seg.weight_start + np.arange(seg.w_in) * seg.w_out + np.arange(seg.w_out)[:, None]
-        if seg.has_bias:
-            bias = np.arange(seg.bias_start, seg.rev_start)[:, None]
-            top = [cos + wt, neg_sin + wt, cos + bias]
-            bottom = [neg_sin + wt, neg_cos + wt, neg_sin + bias]
-        else:
-            top, bottom = [cos + wt, neg_sin + wt], [neg_sin + wt, neg_cos + wt]
+    for w_in, m in zip(in_widths, mats):
+        # P^T[j, i] is the weight from source i to destination j; the bias
+        # column is empty for the output transition.
+        wt, bias = m[:w_in].T, m[w_in:-1].T
+        top = [cos + wt, neg_sin + wt, cos + bias]
+        bottom = [neg_sin + wt, neg_cos + wt, neg_sin + bias]
         # The [top; bottom] matrix, row-major: the top rows, then the bottom.
         halves = [np.concatenate(row, axis=1).ravel() for row in (top, bottom)]
         gather += halves
-        matrices.append((start, start + 2 * halves[0].size, seg.w_out))
+        matrices.append((start, start + 2 * halves[0].size, m.shape[1]))
         start += 2 * halves[0].size
     tables = (
         np.concatenate(rev),
@@ -335,7 +299,8 @@ def _plan(arch: Architecture) -> _Plan:
     # A matrix holds M*K = stop - start entries, so a tile's largest product
     # makes M*K*tile_rows multiply-adds.
     tile_rows = max(1, _TILE_MULTIPLY_ADDS // max(stop - start for start, stop, _ in matrices))
-    return _Plan(*tables, tuple(matrices), transitions[-1].rev_start, tile_rows)
+    # The output gate is the output's reversal, the genome's last entry.
+    return _Plan(*tables, tuple(matrices), n - 1, tile_rows)
 
 
 def _matrices(plan: _Plan, phases: np.ndarray) -> tuple[np.ndarray, float, float]:

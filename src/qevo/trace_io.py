@@ -240,11 +240,16 @@ def aggregate(trace: RawTrace, interval_minutes: int) -> AggregatedSeries:
     SparseTraceError, before allocating, when the series would span more
     than MAX_BUCKETS_PER_OCCUPIED buckets per occupied one, and
     SampleOverflowError when the values of one bucket sum past the float64
-    range.
+    range, and InputError when the interval in seconds is past it.
     """
     if interval_minutes < 1:
         raise ValueError("interval_minutes must be >= 1")
-    width = interval_minutes * 60.0
+    try:
+        width = interval_minutes * 60.0
+    except OverflowError:  # an int past the float range
+        width = float("inf")
+    if not isfinite(width):
+        raise InputError("interval_minutes is too large: its length in seconds is past the float64 range")
     times, values = trace.samples[:, 0], trace.samples[:, 1]
 
     ids = np.floor(times / width)  # sorted, as the timestamps are

@@ -249,10 +249,17 @@ def test_unreadable_trace_is_usage_error(tmp_path, capsys, command, data, messag
          "bad forecast row"),
         (["train"], {}, "--input is required"),
         (["predict", "--input", "{dir}/missing.csv"], {}, "--genome is required"),
+        (["train", "--input", "{dir}/t.csv", "--pi-minutes", str(10**400)], {"t.csv": b"timestamp,value\n0,1\n60,2\n"},
+         "interval_minutes is too large"),
+        (["predict", "--genome", "{dir}/g.bin", "--input", "{dir}/t.csv", "--pi-minutes", str(10**400)],
+         {"t.csv": b"timestamp,value\n0,1\n60,2\n", "g.bin": network.genome_to_bytes(
+             network.random_genome(network.Architecture(1, (1,)), np.random.default_rng(0)))},
+         "interval_minutes is too large"),
     ],
     ids=[
         "config-not-utf8", "forecast-not-utf8", "report-not-utf8", "config-missing", "config-line-without-equals",
-        "forecast-bad-row", "train-without-input", "predict-without-genome",
+        "forecast-bad-row", "train-without-input", "predict-without-genome", "train-pi-minutes-past-float",
+        "predict-pi-minutes-past-float",
     ],
 )
 def test_bad_file_or_missing_flag_is_usage_error(tmp_path, capsys, argv, files, message):
@@ -492,6 +499,7 @@ def test_train_sum_overflow_is_usage_error(tmp_path, capsys, rows):
     "command, flag, value",
     [
         ("train", "--population", "2"),
+        ("train", "--population", "4294967297"),
         ("train", "--hidden-min", "0"),
         ("train", "--generations", "-1"),
         ("train", "--window", "0"),

@@ -29,13 +29,13 @@ from qevo.evolve import (
     train,
     update_probabilities,
 )
-from qevo.network import Architecture, NetworkGenome, layout, random_genome
+from qevo.network import HALF_PI, Architecture, NetworkGenome, genome_length, random_genome
 
 from conftest import sine_series
 
 
 def const_genome(arch, value):
-    return NetworkGenome(arch, np.full(layout(arch).total_length, float(value)))
+    return NetworkGenome(arch, np.full(genome_length(arch), float(value)))
 
 
 def make_population(genomes, fitness=None):
@@ -193,7 +193,7 @@ def test_modulate_cross_architecture_keeps_base_structure():
     )
     for strategy in STRATEGIES:
         delta = modulate(strategy, 0, pop, pop.best, 0.5, np.random.default_rng(3))
-        assert delta.phases.size == layout(delta.architecture).total_length
+        assert delta.phases.size == genome_length(delta.architecture)
 
 
 def test_modulate_population_too_small():
@@ -222,8 +222,8 @@ def test_recombine_hand_widths():
     c1, c2 = evolve._splice(p1, p2, 1, 2, 2, rng), evolve._splice(p2, p1, 1, 2, 2, rng)
     assert c1.architecture.hidden_widths == (3,)  # 2 + (3 - 2)
     assert c2.architecture.hidden_widths == (2,)  # 2 + (2 - 2)
-    assert c1.phases.size == layout(c1.architecture).total_length
-    assert c2.phases.size == layout(c2.architecture).total_length
+    assert c1.phases.size == genome_length(c1.architecture)
+    assert c2.phases.size == genome_length(c2.architecture)
 
 
 def test_recombine_moves_whole_bundles():
@@ -232,16 +232,38 @@ def test_recombine_moves_whole_bundles():
     # keep = donor_cut = 2 at level 1: two bundles from p1, the third from p2
     c1 = evolve._splice(p1, p2, 1, 2, 2, np.random.default_rng(0))
     assert c1.architecture.hidden_widths == (3,)
-    hidden, output = layout(c1.architecture).transitions
-    w_in = c1.phases[hidden.weight_slice].reshape(hidden.w_in, hidden.w_out)
-    assert np.array_equal(w_in[:, :2], np.ones((2, 2)))
-    assert np.array_equal(w_in[:, 2], np.full(2, 2.0))
-    assert c1.phases[hidden.bias_slice].tolist() == [1.0, 1.0, 2.0]
-    assert c1.phases[hidden.rev_slice].tolist() == [1.0, 1.0, 2.0]
-    w_out = c1.phases[output.weight_slice].reshape(output.w_in, output.w_out)
-    assert w_out[:, 0].tolist() == [1.0, 1.0, 2.0]
+    hidden, output = c1.transitions
+    assert np.array_equal(hidden[:2, :2], np.ones((2, 2)))
+    assert np.array_equal(hidden[:2, 2], np.full(2, 2.0))
+    assert hidden[2].tolist() == [1.0, 1.0, 2.0]  # bias
+    assert hidden[3].tolist() == [1.0, 1.0, 2.0]  # reversal
+    assert output[:3, 0].tolist() == [1.0, 1.0, 2.0]
     # the output layer's own reversal stays with the primary parent
-    assert c1.phases[output.rev_slice].tolist() == [1.0]
+    assert output[3].tolist() == [1.0]
+
+
+def test_splice_pads_land_in_draw_order():
+    # Level 2 of a (4, 2, 4) primary takes two donor bundles whose source
+    # layer (2) and next layer (2) are both narrower than the primary's (4).
+    primary = const_genome(Architecture(2, (4, 2, 4)), 1.0)
+    donor = const_genome(Architecture(2, (2, 3, 2)), 2.0)
+    rng = np.random.default_rng(5)
+    child = evolve._splice(primary, donor, 2, 1, 1, rng)
+    assert child.architecture.hidden_widths == (4, 3, 4)
+    ref = np.random.default_rng(5)
+    draws = ref.uniform(-HALF_PI, HALF_PI, 8)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    first, incoming, outgoing, output = child.transitions
+    # Incoming: each donor neuron's weights from sources 2 and 3, neuron
+    # after neuron; outgoing: each donor neuron's weights to destinations 2
+    # and 3, neuron after neuron.
+    assert incoming[2:4, 1:].T.ravel().tolist() == draws[:4].tolist()
+    assert outgoing[1:3, 2:4].ravel().tolist() == draws[4:].tolist()
+    assert incoming[:2, 1:].tolist() == [[2.0, 2.0]] * 2
+    assert incoming[4:].tolist() == [[1.0, 2.0, 2.0]] * 2  # bias and reversal
+    assert outgoing[1:3, :2].tolist() == [[2.0, 2.0]] * 2
+    primary_part = np.concatenate([first.ravel(), incoming[:, 0], outgoing[0], outgoing[3:].ravel(), output.ravel()])
+    assert (primary_part == 1.0).all()
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,7 +287,7 @@ def test_spliced_children_equal_validated_genomes(input_width, hidden, scale, dr
         evolve._splice(p1, p2, level, cut1, cut2, rng),
         evolve._splice(p2, p1, level, cut2, cut1, rng),
     ):
-        assert child.phases.shape == (layout(child.architecture).total_length,)
+        assert child.phases.shape == (genome_length(child.architecture),)
         assert child.phases.dtype == np.float64 and child.phases.flags.c_contiguous
         assert not child.phases.flags.writeable
         assert np.isfinite(child.phases).all()
@@ -279,7 +301,7 @@ def test_recombine_pads_transferred_vectors():
     for seed in range(20):
         c1, c2 = recombine(p1, p2, np.random.default_rng(seed))
         for child in (c1, c2):
-            assert child.phases.size == layout(child.architecture).total_length
+            assert child.phases.size == genome_length(child.architecture)
             assert np.isfinite(child.phases).all()
             assert all(w >= 1 for w in child.architecture.hidden_widths)
 
@@ -352,6 +374,9 @@ def test_streams_match_seed_sequence(seed, generation):
 def test_streams_reject_indices_of_two_words():
     with pytest.raises(ValueError):
         next(evolve._streams(0, 0, range(2**32, 2**32 + 1)))
+    # Read from the range's end: walking 2**32 + 1 indices would take minutes.
+    with pytest.raises(ValueError):
+        next(evolve._streams(0, 0, range(2**32 + 1)))
 
 
 # ------------------------------------------------------- population / training
@@ -364,7 +389,7 @@ def test_init_population_size_and_ranges():
     for g in pop.candidates:
         assert 1 <= g.architecture.depth <= 2
         assert all(3 <= w <= 5 for w in g.architecture.hidden_widths)
-        assert g.phases.size == layout(g.architecture).total_length
+        assert g.phases.size == genome_length(g.architecture)
     assert pop.best_index == int(np.argmin(pop.fitness))
 
 
@@ -541,6 +566,9 @@ def test_load_checkpoint_round_trips(tmp_path, checkpoint_payload):
 def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(population_size=3)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        TrainingConfig(population_size=2**32)
+    TrainingConfig(population_size=2**32 - 1)  # the fixed modes' extra stream is index 2**32 - 1
     with pytest.raises(ValueError):
         TrainingConfig(generations=-1)
     with pytest.raises(ValueError):

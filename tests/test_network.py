@@ -18,40 +18,66 @@ from qevo.network import (
     forward,
     forward_batch,
     forward_states,
+    genome_length,
     input_states,
-    layout,
     random_genome,
     sigmoid,
+    transitions,
 )
+
+from test_acceptance import _expected_genome_length
 
 
 def zeros_genome(arch):
-    return NetworkGenome(arch, np.zeros(layout(arch).total_length))
+    return NetworkGenome(arch, np.zeros(genome_length(arch)))
 
 
 # ---------------------------------------------------------------- layout
 
 def test_layout_hand_counts():
     # (2 -> 2): 4 weights + 2 bias + 2 reversal; (2 -> 1): 2 weights + 1 reversal
-    assert layout(Architecture(2, (2,))).total_length == 11
+    assert genome_length(Architecture(2, (2,))) == 11
     # 10*5 + 5 + 5 + 5*1 + 1
-    assert layout(Architecture(10, (5,))).total_length == 66
-    assert layout(Architecture(1, (1,))).total_length == 5
+    assert genome_length(Architecture(10, (5,))) == 66
+    assert genome_length(Architecture(1, (1,))) == 5
 
 
 def test_layout_blocks_are_contiguous():
-    lay = layout(Architecture(3, (4, 2)))
+    arch = Architecture(3, (4, 2))
+    index = np.arange(genome_length(arch))
     pos = 0
-    for _, _, sl in lay.blocks():
-        assert sl.start == pos
-        pos = sl.stop
-    assert pos == lay.total_length
+    for m in transitions(arch, index):
+        assert m.ravel()[0] == pos
+        assert np.array_equal(m.ravel(), np.arange(pos, pos + m.size))
+        pos += m.size
+    assert pos == genome_length(arch)
 
 
 def test_layout_output_transition_has_no_bias():
-    lay = layout(Architecture(3, (4, 2)))
-    assert lay.transitions[0].has_bias and lay.transitions[1].has_bias
-    assert not lay.transitions[2].has_bias
+    arch = Architecture(3, (4, 2))
+    mats = transitions(arch, np.zeros(genome_length(arch)))
+    # w_in weight rows, then a bias row only for a hidden destination, then reversals
+    assert [m.shape for m in mats] == [(3 + 2, 4), (4 + 2, 2), (2 + 1, 1)]
+    assert mats[0][3:-1].shape == (1, 4) and mats[1][4:-1].shape == (1, 2)
+    assert mats[2][2:-1].size == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(input_width=st.integers(1, 12), hidden=st.lists(st.integers(1, 12), min_size=1, max_size=5))
+def test_transitions_tile_the_genome_in_order(input_width, hidden):
+    arch = Architecture(input_width, tuple(hidden))
+    n = genome_length(arch)
+    assert n == _expected_genome_length(arch)
+    index = np.arange(n)
+    views = transitions(arch, index)
+    widths = arch.widths
+    # w_in weight rows, a bias row for a hidden destination, a reversal row;
+    # the output transition has no bias row.
+    hidden_shapes = [(w_in + 2, w_out) for w_in, w_out in zip(widths[:-2], widths[1:-1])]
+    assert [m.shape for m in views] == [*hidden_shapes, (widths[-2] + 1, 1)]
+    assert views[-1][widths[-2] : -1].size == 0
+    assert all(np.shares_memory(m, index) for m in views)
+    assert np.array_equal(np.concatenate([m.ravel() for m in views]), index)
 
 
 # ---------------------------------------------------------------- genomes
@@ -66,18 +92,17 @@ def test_random_genome_deterministic():
 def test_random_genome_block_ranges():
     arch = Architecture(2, (2000,))
     g = random_genome(arch, np.random.default_rng(0))
-    for _, kind, sl in layout(arch).blocks():
-        block = g.phases[sl]
-        if kind == "rev":
-            assert block.min() >= -1.0 and block.max() <= 1.0
-        else:
-            assert block.min() >= -math.pi / 2 and block.max() <= math.pi / 2
+    for m in g.transitions:
+        assert not m.flags.writeable
+        angles, rev = m[:-1], m[-1]  # weights and bias, then reversals
+        assert angles.min() >= -math.pi / 2 and angles.max() <= math.pi / 2
+        assert rev.min() >= -1.0 and rev.max() <= 1.0
 
 
 def test_random_genome_reversal_mean_near_zero():
     arch = Architecture(1, (10000,))
     g = random_genome(arch, np.random.default_rng(5))
-    rev = g.phases[layout(arch).transitions[0].rev_slice]
+    rev = transitions(arch, g.phases)[0][-1]
     assert rev.size == 10000
     assert abs(rev.mean()) < 0.05
 
@@ -334,9 +359,9 @@ def _check_zero_sum_at_a_hidden_layer(hidden, neurons, random_rows, zero_rows, s
     rng = np.random.default_rng(seed)
     arch = Architecture(1, tuple(hidden))
     phases = random_genome(arch, rng).phases.copy()
-    seg = layout(arch).transitions[0]
+    weight, bias, _ = transitions(arch, phases)[0]
     for j in neurons:
-        phases[seg.bias_start + j] = phases[seg.weight_start + j]
+        bias[j] = weight[j]
     genome = NetworkGenome(arch, phases)
     rows = _with_zero_rows(rng, random_rows, zero_rows)
     count = _check_against_oracle(genome, rows, conditioned=rows[:, 0] != 0)
@@ -361,19 +386,19 @@ def test_zero_sum_at_the_output(depth, gate, random_rows, zero_rows, seed):
     # rounding residue 2*cos(pi/2) > 0, whose argument is 0 all the same.
     rng = np.random.default_rng(seed)
     arch = Architecture(1, (1,) * (depth - 1) + (2,))
-    lay = layout(arch)
     phases = random_genome(arch, rng).phases.copy()
-    for t, seg in enumerate(lay.transitions[:-1]):
+    mats = transitions(arch, phases)
+    for t, (weight, bias, rev) in enumerate(mats[:-1]):
         # Weight phases turning the incoming state (1 from the input, c + i
         # after a width-1 layer) into exactly 1 for A and -1 + 2ci for B.
         a, b = (0.0, math.pi) if t == 0 else (-math.pi / 2, math.pi / 2)
-        phases[seg.rev_slice] = gate
-        phases[seg.weight_start] = a
-        phases[seg.bias_start] = 0.0
-        if seg.w_out == 2:
-            phases[seg.weight_start + 1] = b
-            phases[seg.bias_start + 1] = math.sin(math.pi)  # 2c: activates to 1 + 2ci
-    phases[lay.transitions[-1].weight_slice] = 0.0
+        rev[:] = gate
+        weight[0] = a
+        bias[0] = 0.0
+        if weight.size == 2:
+            weight[1] = b
+            bias[1] = math.sin(math.pi)  # 2c: activates to 1 + 2ci
+    mats[-1][:-1] = 0.0  # the output weights
     genome = NetworkGenome(arch, phases)
     count = _check_against_oracle(genome, _with_zero_rows(rng, random_rows, zero_rows))
     assert count == (depth + 1) * zero_rows
@@ -386,8 +411,7 @@ def test_a_nonzero_sum_whose_square_underflows_is_not_degenerate():
     # at each of the three hidden neurons.
     arch = Architecture(1, (3,))
     phases = random_genome(arch, np.random.default_rng(13)).phases.copy()
-    seg = layout(arch).transitions[0]
-    phases[seg.weight_start : seg.rev_start] = 0.0
+    transitions(arch, phases)[0][:-1] = 0.0  # weights and bias
     genome = NetworkGenome(arch, phases)
     rows = np.array([[1e-200], [1e-150], [0.0], [0.3]])
     assert _check_against_oracle(genome, rows) == 3
@@ -450,8 +474,8 @@ def test_forward_batch_counts_each_zero_sum_once_across_tiles():
     tile = network._plan(arch).tile_rows
     rng = np.random.default_rng(16)
     phases = random_genome(arch, rng).phases.copy()
-    seg = layout(arch).transitions[0]
-    phases[seg.bias_start] = phases[seg.weight_start]
+    weight, bias, _ = transitions(arch, phases)[0]
+    bias[0] = weight[0]
     genome = NetworkGenome(arch, phases)
     rows = rng.uniform(0.01, 1.0, (5 * tile // 2, 1))
     zero = [1, tile - 1, 2 * tile + 3]
@@ -468,8 +492,7 @@ def test_an_underflow_row_in_the_last_partial_tile_takes_the_hypot_path(monkeypa
     tile = network._plan(arch).tile_rows
     rng = np.random.default_rng(17)
     phases = random_genome(arch, rng).phases.copy()
-    seg = layout(arch).transitions[0]
-    phases[seg.weight_start : seg.rev_start] = 0.0
+    transitions(arch, phases)[0][:-1] = 0.0  # weights and bias
     genome = NetworkGenome(arch, phases)
     rows = rng.uniform(0.01, 1.0, (5 * tile // 2, 1))
     rows[-2] = 1e-200
@@ -522,13 +545,13 @@ def test_layout_matches_every_constructed_genome():
         widths = tuple(int(w) for w in rng.integers(1, 11, depth))
         arch = Architecture(int(rng.integers(1, 12)), widths)
         g = random_genome(arch, rng)
-        assert g.phases.size == layout(arch).total_length
+        assert g.phases.size == genome_length(arch)
 
 
 def test_genome_oversized_length_field():
     arch = Architecture(2, (2,))
     blob = network.genome_to_bytes(zeros_genome(arch))
-    length_at = len(blob) - 8 * layout(arch).total_length - 8  # the field before the phases
+    length_at = len(blob) - 8 * genome_length(arch) - 8  # the field before the phases
     oversized = blob[:length_at] + struct.pack("<Q", 2**40) + blob[length_at + 8:]
     with pytest.raises(GenomeFormatError):
         network.genome_from_bytes(oversized)
@@ -566,7 +589,7 @@ def genome_blobs(draw):
         for _ in range(draw(st.integers(1, 4))):
             blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
     elif edit == "phase":
-        at = len(blob) - 8 * draw(st.integers(1, layout(arch).total_length))
+        at = len(blob) - 8 * draw(st.integers(1, genome_length(arch)))
         blob[at:at + 8] = struct.pack("<d", draw(st.floats()))
     return bytes(blob)
 

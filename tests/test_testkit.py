@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qevo import network, testkit
-from qevo.network import Architecture, NetworkGenome, layout, random_genome
+from qevo.network import Architecture, NetworkGenome, genome_length, random_genome, transitions
 
 
 def random_small_net(rng):
@@ -24,7 +24,7 @@ def test_oracle_matches_forward_on_small_nets():
 
 def test_oracle_hand_trace():
     arch = Architecture(1, (1,))
-    genome = NetworkGenome(arch, np.zeros(layout(arch).total_length))
+    genome = NetworkGenome(arch, np.zeros(genome_length(arch)))
     assert testkit.oracle_forward(genome, [0.0]) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -52,8 +52,8 @@ def test_oracle_accepts_reversals_far_below_zero():
     # exp(800) overflows a float; the gate must still come out near 0.
     arch = Architecture(2, (2,))
     phases = random_genome(arch, np.random.default_rng(5)).phases.copy()
-    for seg in layout(arch).transitions:
-        phases[seg.rev_slice] = -800.0
+    for m in transitions(arch, phases):
+        m[-1] = -800.0
     genome = NetworkGenome(arch, phases)
     row = [0.3, 0.7]
     value = testkit.oracle_forward(genome, row)
