@@ -35,11 +35,12 @@ ABLATION_SCHEMA = "qevo.ablation/1"
 PLOT_SCHEMA = "qevo.plot/1"
 
 _METRIC_NAMES = ("rmse", "mae", "mape")
+_TRAINING = evolve.TrainingConfig()
 
 
 @dataclass
 class RunConfig:
-    """Merged view of these defaults, config file, and CLI flags (flags win)."""
+    """Merged view of these defaults (TrainingConfig's for training), config file, and CLI flags (flags win)."""
 
     input: str | None = None
     genome: str | None = None
@@ -48,19 +49,19 @@ class RunConfig:
     delimiter: str = ","
     header: bool = True
     pi_minutes: int = 5
-    window: int = 10
-    population: int = 80
-    generations: int = 50
+    window: int = _TRAINING.window_size
+    population: int = _TRAINING.population_size
+    generations: int = _TRAINING.generations
     train_frac: float = 0.6
-    seed: int = 0
+    seed: int = _TRAINING.seed
     seeds: int = 5
     out_dir: str = "out"
-    mode: str = "full"
+    mode: str = _TRAINING.mode.value
     metrics: str = "rmse,mae,mape"
-    hidden_min: int = 5
-    hidden_max: int = 10
-    depth_min: int = 1
-    depth_max: int = 4
+    hidden_min: int = _TRAINING.hidden_range[0]
+    hidden_max: int = _TRAINING.hidden_range[1]
+    depth_min: int = _TRAINING.depth_range[0]
+    depth_max: int = _TRAINING.depth_range[1]
 
     def selected_metrics(self) -> list[str]:
         names = [m.strip() for m in self.metrics.split(",") if m.strip()]

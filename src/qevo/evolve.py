@@ -5,12 +5,12 @@ difference-vector strategies (rand-one, current-to-best, best-one) picked by
 roulette wheel over self-adapting probabilities, recombined with its parent
 through a variable-width neuron-bundle crossover, and kept only if a child
 matches or beats it (elitist adoption, so the population best never gets
-worse). Success/failure counters per strategy re-derive the selection
-probabilities at the end of every generation.
+worse). Each generation's success/failure count per strategy re-derives
+the selection probabilities for the next.
 
-A generation runs in three phases: vary every candidate (strategy, rate,
-modulation, recombination), evaluate every child, then select every
-survivor and update the counters, each phase in candidate order.
+A generation runs in three phases, each in candidate order: vary every
+candidate (strategy, rate, modulation, recombination), evaluate every child,
+then select every survivor. Its outcome is one frozen `TrainingRun`.
 
 Determinism: every random draw for candidate i in generation g comes from a
 stream seeded by (seed, g, i), so a candidate's step depends on nothing but
@@ -60,16 +60,7 @@ class TrainingMode(str, enum.Enum):
     FIXED_ALL = "fixed-all"    # random initialization only, no operators
 
 
-@dataclass
-class StrategyState:
-    """Selection probabilities plus per-strategy success/failure counters."""
-
-    probs: tuple[float, float, float] = (0.33, 0.33, 0.34)
-    successes: list[int] = field(default_factory=lambda: [0, 0, 0])
-    failures: list[int] = field(default_factory=lambda: [0, 0, 0])
-
-
-@dataclass
+@dataclass(frozen=True)
 class Population:
     candidates: list[NetworkGenome]
     fitness: np.ndarray
@@ -87,6 +78,11 @@ class Population:
         return float(self.fitness[self.best_index])
 
 
+# The most phases a population may hold (128 MiB). Generation 0 alone peaks near 7x
+# that: the genomes, and a cached forward plan of 32 bytes a phase per architecture.
+MAX_POPULATION_PHASES = 2**24
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     population_size: int = 80
@@ -101,8 +97,6 @@ class TrainingConfig:
         object.__setattr__(self, "mode", TrainingMode(self.mode))
         if self.population_size < 4:
             raise ValueError("population_size must be >= 4 (modulation needs donors)")
-        if self.population_size >= 2**32:
-            raise ValueError("population_size must be below 2**32 (streams number candidates in 32 bits)")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         if self.window_size < 1:
@@ -112,26 +106,34 @@ class TrainingConfig:
                 raise ValueError("ranges must satisfy 1 <= lo <= hi")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        # The widest, deepest genome's length in closed form (input transition, depth - 1
+        # hidden ones, output). It is at least 5, so P also stays below _streams' 2**32.
+        w, (_, h), (_, d) = self.window_size, self.hidden_range, self.depth_range
+        phases = self.population_size * ((w + 2) * h + (d - 1) * (h + 2) * h + h + 1)
+        if phases > MAX_POPULATION_PHASES:
+            raise ValueError(f"population_size times the largest genome the ranges allow is "
+                             f"{phases} phases, above {MAX_POPULATION_PHASES}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingRun:
     """Everything a run carries from one generation to the next.
 
-    `train` advances one record in place, saves it as the per-generation
-    checkpoint and returns it; a resumed run starts from a copy of one. The
-    report's other fields (best fitness, final probabilities and
-    architectures, population size, generations run) are derived from it.
+    One frozen record per generation: `train` builds each from the last,
+    saves it as the generation's checkpoint and returns the final one; a
+    resumed run starts from a loaded one as it is. The report's other fields
+    (best fitness, final architectures, population size, generations run)
+    are derived from it.
     """
 
     seed: int
     mode: str
     population: Population
-    fitness_trajectory: list[float]
+    fitness_trajectory: tuple[float, ...]
     degenerate_args: int
     next_generation: int = 1
-    state: StrategyState = field(default_factory=StrategyState)
-    probability_trajectory: list[tuple[float, float, float]] = field(default_factory=list)
+    probabilities: tuple[float, float, float] = (0.33, 0.33, 0.34)
+    probability_trajectory: tuple[tuple[float, float, float], ...] = ()
     success_totals: dict[str, int] = field(
         default_factory=lambda: {s.value: 0 for s in STRATEGIES}
     )
@@ -153,8 +155,8 @@ class TrainingRun:
             "generations": self.next_generation - 1,
             "best_fitness": self.best_fitness,
             "fitness_trajectory": self.fitness_trajectory,
-            "probability_trajectory": [list(p) for p in self.probability_trajectory],
-            "final_probabilities": list(self.state.probs),
+            "probability_trajectory": self.probability_trajectory,
+            "final_probabilities": self.probabilities,
             "success_totals": self.success_totals,
             "degenerate_args": self.degenerate_args,
             "final_architectures": self.final_architectures,
@@ -245,9 +247,9 @@ def sample_modulation_rate(rng: np.random.Generator) -> float:
             return float(rate)
 
 
-def select_strategy(mss: float, state: StrategyState) -> Strategy:
+def select_strategy(mss: float, probs: tuple[float, float, float]) -> Strategy:
     """Roulette wheel over the three strategy probabilities."""
-    t1, t2, _ = state.probs
+    t1, t2, _ = probs
     if 0.0 < mss <= t1:
         return Strategy.RAND_ONE
     if t1 < mss <= t1 + t2:
@@ -255,14 +257,14 @@ def select_strategy(mss: float, state: StrategyState) -> Strategy:
     return Strategy.BEST_ONE
 
 
-def update_probabilities(state: StrategyState) -> StrategyState:
-    """Re-derive selection probabilities from the generation's counters.
+def update_probabilities(successes: list[int], failures: list[int]) -> tuple[float, float, float]:
+    """Selection probabilities from one generation's per-strategy counts.
 
     Success counts are Laplace-smoothed (+1) so the shared denominator stays
-    positive and no strategy is ever starved; counters reset afterwards.
+    positive and no strategy is ever starved.
     """
-    eps = [s + 1 for s in state.successes]
-    tau = list(state.failures)
+    eps = [s + 1 for s in successes]
+    tau = failures
     st = (
         2.0 * (eps[1] * eps[2] + eps[0] * eps[2] + eps[0] * eps[1])
         + tau[0] * (eps[1] + eps[2])
@@ -272,7 +274,7 @@ def update_probabilities(state: StrategyState) -> StrategyState:
     t1 = eps[0] * (eps[1] + tau[1] + eps[2] + tau[2]) / st
     t2 = eps[1] * (eps[0] + tau[0] + eps[2] + tau[2]) / st
     t3 = max(0.0, 1.0 - t1 - t2)
-    return StrategyState(probs=(t1, t2, t3))
+    return t1, t2, t3
 
 
 @functools.lru_cache(maxsize=256)
@@ -472,25 +474,26 @@ def init_population(config: TrainingConfig, fitness_fn) -> tuple[Population, int
 _CHECKPOINT_SCHEMA = "qevo.checkpoint/1"
 
 
-def save_checkpoint(checkpoint: TrainingRun, path: str | Path) -> None:
+def save_checkpoint(run: TrainingRun, path: str | Path) -> None:
     payload = {
         "schema": _CHECKPOINT_SCHEMA,
-        "seed": checkpoint.seed,
-        "mode": checkpoint.mode,
-        "next_generation": checkpoint.next_generation,
-        "probabilities": list(checkpoint.state.probs),
-        "successes": list(checkpoint.state.successes),
-        "failures": list(checkpoint.state.failures),
-        "fitness_trajectory": checkpoint.fitness_trajectory,
-        "probability_trajectory": [list(p) for p in checkpoint.probability_trajectory],
-        "success_totals": checkpoint.success_totals,
-        "degenerate_args": checkpoint.degenerate_args,
+        "seed": run.seed,
+        "mode": run.mode,
+        "next_generation": run.next_generation,
+        "probabilities": run.probabilities,
+        # A generation's counts are spent on its probabilities, so a saved run has none.
+        "successes": [0, 0, 0],
+        "failures": [0, 0, 0],
+        "fitness_trajectory": run.fitness_trajectory,
+        "probability_trajectory": run.probability_trajectory,
+        "success_totals": run.success_totals,
+        "degenerate_args": run.degenerate_args,
         "population": [
             {
                 "genome": base64.b64encode(network.genome_to_bytes(g)).decode("ascii"),
                 "fitness": float(f),
             }
-            for g, f in zip(checkpoint.population.candidates, checkpoint.population.fitness)
+            for g, f in zip(run.population.candidates, run.population.fitness)
         ],
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
@@ -509,7 +512,7 @@ def _numbers(values: list, kind: type, length: int | None = None) -> list:
 
 def load_checkpoint(path: str | Path) -> TrainingRun:
     """Read a `save_checkpoint` file. A missing key, a value of the wrong
-    type, bad base64 or a bad genome raises CheckpointFormatError."""
+    type, bad base64, a bad genome or a non-zero count raises CheckpointFormatError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -525,21 +528,19 @@ def load_checkpoint(path: str | Path) -> TrainingRun:
         seed, next_generation, degenerate = _numbers(
             [payload[k] for k in ("seed", "next_generation", "degenerate_args")], int
         )
+        if any(_numbers(payload[k], int, 3) != [0, 0, 0] for k in ("successes", "failures")):
+            raise ValueError("successes and failures must be [0, 0, 0]")
         names = [s.value for s in STRATEGIES]
         return TrainingRun(
             seed=seed,
             mode=TrainingMode(payload["mode"]).value,
             next_generation=next_generation,
-            state=StrategyState(
-                probs=tuple(_numbers(payload["probabilities"], float, 3)),
-                successes=_numbers(payload["successes"], int, 3),
-                failures=_numbers(payload["failures"], int, 3),
-            ),
+            probabilities=tuple(_numbers(payload["probabilities"], float, 3)),
             population=Population(candidates, fitness),
-            fitness_trajectory=_numbers(payload["fitness_trajectory"], float),
-            probability_trajectory=[
+            fitness_trajectory=tuple(_numbers(payload["fitness_trajectory"], float)),
+            probability_trajectory=tuple(
                 tuple(_numbers(p, float, 3)) for p in payload["probability_trajectory"]
-            ],
+            ),
             success_totals=dict(
                 zip(names, _numbers([payload["success_totals"][n] for n in names], int))
             ),
@@ -549,9 +550,8 @@ def load_checkpoint(path: str | Path) -> TrainingRun:
         raise CheckpointFormatError(f"bad checkpoint {path}: {exc}") from exc
 
 
-def _resumed(resume: TrainingRun, config: TrainingConfig) -> TrainingRun:
-    """A copy of `resume` that `train` may advance, after checking that it
-    belongs to `config`'s run."""
+def _check_resume(resume: TrainingRun, config: TrainingConfig) -> None:
+    """Raise CheckpointFormatError unless `resume` belongs to `config`'s run."""
     expected = (config.seed, config.mode.value, config.population_size, {config.window_size})
     found = (
         resume.seed,
@@ -565,14 +565,6 @@ def _resumed(resume: TrainingRun, config: TrainingConfig) -> TrainingRun:
             f"{resume.next_generation} does not fit the config's {expected} over "
             f"{config.generations} generations"
         )
-    state = resume.state
-    return replace(
-        resume,
-        state=StrategyState(state.probs, list(state.successes), list(state.failures)),
-        fitness_trajectory=list(resume.fitness_trajectory),
-        probability_trajectory=list(resume.probability_trajectory),
-        success_totals=dict(resume.success_totals),
-    )
 
 
 def train(
@@ -588,8 +580,8 @@ def train(
     record's `to_dict()` is the report's "training" section.
     `checkpoint_dir` (created first, parents included) receives the record
     after every generation as `checkpoint_gen<g>.json`. `resume` (a
-    `load_checkpoint` result, left unchanged) continues from a copy of it and
-    reproduces the uninterrupted run exactly; it raises CheckpointFormatError
+    `load_checkpoint` result) continues from that record and reproduces the
+    uninterrupted run exactly; it raises CheckpointFormatError
     unless the checkpoint's seed, mode, population size, genome input width
     and generation fit `config`.
     """
@@ -600,45 +592,46 @@ def train(
     if resume is None:
         population, degenerate = init_population(config, fitness_fn)
         run = TrainingRun(
-            config.seed, config.mode.value, population, [population.best_fitness], degenerate
+            config.seed, config.mode.value, population, (population.best_fitness,), degenerate
         )
     else:
-        run = _resumed(resume, config)
+        _check_resume(resume, config)
+        run = resume
 
     for gen in range(run.next_generation, config.generations + 1):
         if config.mode is not TrainingMode.FIXED_ALL:
-            population, state = run.population, run.state
+            population = run.population
             # Vary: strategy, perturbed genome and two children per candidate.
             best = population.best
             steps = []
             for i, rng in enumerate(_streams(config.seed, gen, range(config.population_size))):
-                strategy = select_strategy(float(rng.random()), state)
+                strategy = select_strategy(float(rng.random()), run.probabilities)
                 rate = sample_modulation_rate(rng)
                 delta = modulate(strategy, i, population, best, rate, rng)
                 steps.append((strategy, recombine(population.candidates[i], delta, rng)))
             # Evaluate: every child, scored as soon as its pass returns.
             scores = [[fitness_fn(child) for child in pair] for _, pair in steps]
-            # Select: elitist adoption and the strategy counters.
+            # Select: elitist adoption and each strategy's successes and failures.
             candidates = []
             fitness = np.empty(config.population_size)
+            successes, failures = [0, 0, 0], [0, 0, 0]
             for i, ((strategy, pair), scored) in enumerate(zip(steps, scores)):
                 genome, fitness[i], succeeded = select_survivor(
                     (population.candidates[i], float(population.fitness[i])),
                     [(child, fit) for child, (fit, _) in zip(pair, scored)],
                 )
                 candidates.append(genome)
-                run.degenerate_args += sum(deg for _, deg in scored)
-                k = STRATEGIES.index(strategy)
-                if succeeded:
-                    state.successes[k] += 1
-                    run.success_totals[strategy.value] += 1
-                else:
-                    state.failures[k] += 1
-            run.population = Population(candidates, fitness)
-            run.state = update_probabilities(state)
-            run.probability_trajectory.append(run.state.probs)
-        run.fitness_trajectory.append(run.best_fitness)
-        run.next_generation = gen + 1
+                (successes if succeeded else failures)[STRATEGIES.index(strategy)] += 1
+            probabilities = update_probabilities(successes, failures)
+            run = replace(
+                run, population=Population(candidates, fitness), probabilities=probabilities,
+                probability_trajectory=(*run.probability_trajectory, probabilities),
+                success_totals={s.value: run.success_totals[s.value] + n for s, n in zip(STRATEGIES, successes)},
+                degenerate_args=run.degenerate_args + sum(deg for scored in scores for _, deg in scored),
+            )
+        run = replace(
+            run, fitness_trajectory=(*run.fitness_trajectory, run.best_fitness), next_generation=gen + 1
+        )
         if checkpoint_dir is not None:
             save_checkpoint(run, checkpoint_dir / f"checkpoint_gen{gen:04d}.json")
 

@@ -137,10 +137,10 @@ def test_criterion_04_probability_simplex(full_runs):
     for probs in report.probability_trajectory:
         assert abs(sum(probs) - 1.0) <= 1e-12
         assert all(p >= 0.0 for p in probs)
-    symmetric = update_probabilities(evolve.StrategyState())
-    assert symmetric.probs == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
-    single = update_probabilities(evolve.StrategyState(successes=[1, 0, 0]))
-    assert single.probs == pytest.approx((0.4, 0.3, 0.3), abs=1e-12)
+    symmetric = update_probabilities([0, 0, 0], [0, 0, 0])
+    assert symmetric == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
+    single = update_probabilities([1, 0, 0], [0, 0, 0])
+    assert single == pytest.approx((0.4, 0.3, 0.3), abs=1e-12)
     _passed("criterion 4: simplex holds across a 50-generation run; hand cases (1/3,1/3,1/3) and (0.4,0.3,0.3) reproduced")
 
 
@@ -151,10 +151,9 @@ def test_criterion_04_probability_simplex(full_runs):
 )
 def test_criterion_05_selection_frequencies(probs):
     draws = 100_000
-    state = evolve.StrategyState(probs=probs)
     counts = dict.fromkeys(evolve.STRATEGIES, 0)
     for mss in np.random.default_rng(105).random(draws):
-        counts[evolve.select_strategy(float(mss), state)] += 1
+        counts[evolve.select_strategy(float(mss), probs)] += 1
     deviations = [abs(counts[s] / draws - p) for s, p in zip(evolve.STRATEGIES, probs)]
     assert max(deviations) <= 0.01, counts
     _passed(f"criterion 5: strategy frequencies within ±0.01 of {probs} (max dev {max(deviations):.4f})")

@@ -5,6 +5,7 @@ import json
 import re
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from qevo import evolve, network, trace_io
 from qevo.cli import (
-    FORECAST_COLUMNS, FORECAST_SCHEMA, load_config_file, main, read_forecast_csv, write_forecast_csv,
+    FORECAST_COLUMNS, FORECAST_SCHEMA, RunConfig, load_config_file, main, read_forecast_csv,
+    write_forecast_csv,
 )
 from qevo.errors import InputError
 
@@ -255,11 +257,15 @@ def test_unreadable_trace_is_usage_error(tmp_path, capsys, command, data, messag
          {"t.csv": b"timestamp,value\n0,1\n60,2\n", "g.bin": network.genome_to_bytes(
              network.random_genome(network.Architecture(1, (1,)), np.random.default_rng(0)))},
          "interval_minutes is too large"),
+        # One 10-100000-100000-1 genome is 74.5 GiB; the input is never opened.
+        (["train", "--input", "{dir}/missing.csv", "--pi-minutes", "1", "--population", "4", "--generations", "0",
+          "--hidden-min", "100000", "--hidden-max", "100000", "--depth-min", "2", "--depth-max", "2"], {},
+         "40006000004 phases"),
     ],
     ids=[
         "config-not-utf8", "forecast-not-utf8", "report-not-utf8", "config-missing", "config-line-without-equals",
         "forecast-bad-row", "train-without-input", "predict-without-genome", "train-pi-minutes-past-float",
-        "predict-pi-minutes-past-float",
+        "predict-pi-minutes-past-float", "train-population-past-phase-bound",
     ],
 )
 def test_bad_file_or_missing_flag_is_usage_error(tmp_path, capsys, argv, files, message):
@@ -343,14 +349,17 @@ def test_train_and_ablate_report_a_rising_best_fitness(trace_file, tmp_path, mon
 
     def rising(*args, **kwargs):
         best, run = real_train(*args, **kwargs)
-        run.fitness_trajectory.append(run.fitness_trajectory[-1] + 1.0)
-        return best, run
+        return best, replace(run, fitness_trajectory=(*run.fitness_trajectory, run.fitness_trajectory[-1] + 1.0))
 
     monkeypatch.setattr(evolve, "train", rising)
     for command, extra in (("train", []), ("ablate", ["--seeds", "1"])):
         args = [command, *train_args(trace_file, tmp_path / command)[1:], *extra]
         assert main(args) == 1, command
         assert "best fitness rose" in capsys.readouterr().err
+
+
+def test_run_config_defaults_are_the_training_defaults():
+    assert RunConfig().training_config() == evolve.TrainingConfig()
 
 
 def test_config_file_with_flag_override(trace_file, tmp_path):

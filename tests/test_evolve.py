@@ -12,11 +12,11 @@ from qevo.errors import (
     PopulationTooSmallError,
 )
 from qevo.evolve import (
+    MAX_POPULATION_PHASES,
     STRATEGIES,
     DatasetFitness,
     Population,
     Strategy,
-    StrategyState,
     TrainingConfig,
     TrainingMode,
     convergence_monitor,
@@ -74,44 +74,41 @@ def test_modulation_rate_open_interval_and_mean():
 # ------------------------------------------------------- strategy selection
 
 def test_select_strategy_branches():
-    state = StrategyState(probs=(0.33, 0.33, 0.34))
-    assert select_strategy(0.2, state) is Strategy.RAND_ONE
-    assert select_strategy(0.5, state) is Strategy.CURRENT_TO_BEST
-    assert select_strategy(0.99, state) is Strategy.BEST_ONE
+    probs = (0.33, 0.33, 0.34)
+    assert select_strategy(0.2, probs) is Strategy.RAND_ONE
+    assert select_strategy(0.5, probs) is Strategy.CURRENT_TO_BEST
+    assert select_strategy(0.99, probs) is Strategy.BEST_ONE
 
 
 def test_select_strategy_boundaries():
-    state = StrategyState(probs=(0.33, 0.33, 0.34))
-    assert select_strategy(0.33, state) is Strategy.RAND_ONE  # inclusive upper
-    assert select_strategy(0.66, state) is Strategy.CURRENT_TO_BEST
-    assert select_strategy(0.0, state) is Strategy.BEST_ONE  # 0 falls through
+    probs = (0.33, 0.33, 0.34)
+    assert select_strategy(0.33, probs) is Strategy.RAND_ONE  # inclusive upper
+    assert select_strategy(0.66, probs) is Strategy.CURRENT_TO_BEST
+    assert select_strategy(0.0, probs) is Strategy.BEST_ONE  # 0 falls through
 
 
 # ------------------------------------------------------- probability update
 
 def test_update_probabilities_symmetric():
-    state = update_probabilities(StrategyState())
-    assert state.probs == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
-    assert state.successes == [0, 0, 0] and state.failures == [0, 0, 0]
+    probs = update_probabilities([0, 0, 0], [0, 0, 0])
+    assert probs == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
 
 
 def test_update_probabilities_single_success():
     # smoothed eps = (2,1,1), tau = 0: St = 2(1 + 2 + 2) = 10,
     # T1 = 2*2/10 = 0.4, T2 = 1*3/10 = 0.3, T3 = 0.3
-    state = update_probabilities(StrategyState(successes=[1, 0, 0]))
-    assert state.probs == pytest.approx((0.4, 0.3, 0.3), abs=1e-12)
+    probs = update_probabilities([1, 0, 0], [0, 0, 0])
+    assert probs == pytest.approx((0.4, 0.3, 0.3), abs=1e-12)
 
 
 def test_update_probabilities_simplex():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        state = StrategyState(
-            successes=[int(v) for v in rng.integers(0, 30, 3)],
-            failures=[int(v) for v in rng.integers(0, 30, 3)],
+        probs = update_probabilities(
+            [int(v) for v in rng.integers(0, 30, 3)], [int(v) for v in rng.integers(0, 30, 3)]
         )
-        out = update_probabilities(state)
-        assert abs(sum(out.probs) - 1.0) <= 1e-12
-        assert all(p >= 0.0 for p in out.probs)
+        assert abs(sum(probs) - 1.0) <= 1e-12
+        assert all(p >= 0.0 for p in probs)
 
 
 # ------------------------------------------------------- modulation
@@ -429,7 +426,7 @@ def test_train_zero_generations():
     cfg = tiny_config(generations=0)
     best, report = train(cfg, data)
     assert len(report.fitness_trajectory) == 1
-    assert report.probability_trajectory == []
+    assert report.probability_trajectory == ()
     assert report.best_fitness == report.fitness_trajectory[0]
 
 
@@ -451,26 +448,33 @@ def test_train_fixed_all_mode_is_initialization_only():
     best, report = train(cfg, data)
     assert report.fitness_trajectory[0] == report.fitness_trajectory[-1]
     assert all(v == 0 for v in report.success_totals.values())
-    assert report.probability_trajectory == []
+    assert report.probability_trajectory == ()
 
 
-def test_train_checkpoint_resume_matches_uninterrupted(tmp_path):
-    data = tiny_dataset()
+@pytest.fixture(scope="module")
+def five_generations(tmp_path_factory):
+    """A 5-generation run: its config, best genome, record and checkpoint directory."""
+    out = tmp_path_factory.mktemp("five-generations")
     cfg = tiny_config(generations=5, seed=4)
-    best_full, report_full = train(cfg, data, checkpoint_dir=tmp_path)
-    ckpt = evolve.load_checkpoint(tmp_path / "checkpoint_gen0002.json")
-    best_resumed, report_resumed = train(cfg, data, resume=ckpt)
+    best, run = train(cfg, tiny_dataset(), checkpoint_dir=out)
+    return cfg, best, run, out
+
+
+# Generation 5 is the last: resuming from it runs no generation.
+@pytest.mark.parametrize("generation", range(1, 6))
+def test_train_checkpoint_resume_matches_uninterrupted(five_generations, generation):
+    cfg, best_full, report_full, out = five_generations
+    ckpt = evolve.load_checkpoint(out / f"checkpoint_gen{generation:04d}.json")
+    best_resumed, report_resumed = train(cfg, tiny_dataset(), resume=ckpt)
     assert best_resumed == best_full
     assert report_resumed.to_dict() == report_full.to_dict()
 
 
-def test_train_resume_leaves_the_checkpoint_unchanged(tmp_path):
-    data = tiny_dataset()
-    cfg = tiny_config(generations=5, seed=4)
-    _, report_full = train(cfg, data, checkpoint_dir=tmp_path)
-    ckpt = evolve.load_checkpoint(tmp_path / "checkpoint_gen0002.json")
+def test_train_resume_leaves_the_checkpoint_unchanged(five_generations):
+    cfg, _, report_full, out = five_generations
+    ckpt = evolve.load_checkpoint(out / "checkpoint_gen0002.json")
     for _ in range(2):
-        _, report_resumed = train(cfg, data, resume=ckpt)
+        _, report_resumed = train(cfg, tiny_dataset(), resume=ckpt)
         assert report_resumed.to_dict() == report_full.to_dict()
 
 
@@ -539,6 +543,9 @@ def test_load_checkpoint_rejects_a_missing_key(tmp_path, checkpoint_payload, key
         ("population", [{"genome": "not base64!", "fitness": 0.1}]),
         ("population", [{"genome": "AAAA", "fitness": 0.1}]),
         ("population", "abc"),
+        ("successes", [7, 0, 0]),
+        ("failures", [0, 0, 1]),
+        ("successes", [0.0, 0, 0]),
     ],
 )
 def test_load_checkpoint_rejects_a_wrong_value(tmp_path, checkpoint_payload, key, value):
@@ -566,9 +573,19 @@ def test_load_checkpoint_round_trips(tmp_path, checkpoint_payload):
 def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(population_size=3)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        TrainingConfig(population_size=2**32)
-    TrainingConfig(population_size=2**32 - 1)  # the fixed modes' extra stream is index 2**32 - 1
+    # The bound is P times the genome length of the widest, deepest architecture.
+    for w, h, d in ((10, 10, 4), (1, 1, 1), (3, 17, 6)):
+        largest = genome_length(Architecture(w, (h,) * d))
+        ranges = dict(window_size=w, hidden_range=(1, h), depth_range=(1, d))
+        TrainingConfig(population_size=MAX_POPULATION_PHASES // largest, **ranges)
+        with pytest.raises(ValueError, match="phases"):
+            TrainingConfig(population_size=MAX_POPULATION_PHASES // largest + 1, **ranges)
+    with pytest.raises(ValueError, match="phases"):
+        TrainingConfig(population_size=2**32)  # past what _streams can number, too
+    with pytest.raises(ValueError, match="phases"):  # one 10-100000-100000-1 genome is 74.5 GiB
+        TrainingConfig(population_size=4, hidden_range=(100_000, 100_000), depth_range=(2, 2))
+    with pytest.raises(ValueError, match="phases"):  # no tuple of depth_max widths is built
+        TrainingConfig(depth_range=(1, 10**9))
     with pytest.raises(ValueError):
         TrainingConfig(generations=-1)
     with pytest.raises(ValueError):
