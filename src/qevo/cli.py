@@ -15,13 +15,14 @@ import json
 import statistics
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from . import dataset, evolve, metrics, network, trace_io
 from .errors import (
+    ConstantSeriesError,
     DimensionMismatchError,
     InputError,
     MalformedReportError,
@@ -30,7 +31,7 @@ from .errors import (
 )
 
 REPORT_SCHEMA = "qevo.report/1"
-FORECAST_SCHEMA = "qevo.forecast/1"
+FORECAST_SCHEMA = "qevo.forecast/2"
 ABLATION_SCHEMA = "qevo.ablation/1"
 PLOT_SCHEMA = "qevo.plot/1"
 
@@ -179,70 +180,90 @@ def _metric_dict(actual, predicted, names: list[str]) -> dict:
     return {k: result[k] for k in (*names, "count")}
 
 
-FORECAST_COLUMNS = (
-    "index", "split", "actual", "predicted", "actual_normalized", "predicted_normalized",
-)
+FORECAST_COLUMNS = ("index", "split", "actual_normalized", "predicted_normalized")
 
 
 def _forecast_rows(genome, windows, params, split_at: int, head: str = "train") -> dict:
     """Forecast columns: one entry per window target, then one extrapolated
-    step past the series end. The first `split_at` targets are labelled
-    `head`, the rest "test". `actual` and `actual_normalized` stop one entry
-    short, since the extrapolated step has no actual value."""
+    step past the series end, and the normalizer that scales them back. The
+    first `split_at` targets are labelled `head`, the rest "test".
+    `actual_normalized` stops one entry short, since the extrapolated step
+    has no actual value."""
     preds_norm = network.forward_batch(genome, windows.inputs)
     # Window ending at the last known value predicts one step past the series.
     tail = np.concatenate([windows.inputs[-1][1:], [windows.targets[-1]]])
-    predicted_normalized = np.append(preds_norm, network.forward(genome, tail))
     n, x = windows.window_size, len(windows)
     return {
         "index": range(n, n + x + 1),
         "split": [head] * split_at + ["test"] * (x - split_at) + ["future"],
-        "actual": dataset.denormalize(windows.targets, params),
-        "predicted": dataset.denormalize(predicted_normalized, params),
         "actual_normalized": windows.targets,
-        "predicted_normalized": predicted_normalized,
+        "predicted_normalized": np.append(preds_norm, network.forward(genome, tail)),
+        "params": params,
     }
 
 
 def write_forecast_csv(rows: dict, path: Path) -> None:
-    """Write `_forecast_rows` columns: floats as repr, the missing actual
-    cells of the last row empty, lines as csv.writer ends them (CRLF)."""
-    def cells(key):
-        return map(repr, rows[key].tolist())
-
-    blank = [""] * (len(rows["split"]) - len(rows["actual"]))
+    """Write `_forecast_rows`: `#` lines with the schema and the normalizer's
+    bounds, then the columns with floats as repr and the missing actual cell
+    of the last row empty, each row ended as csv.writer ends it (CRLF)."""
+    blank = [""] * (len(rows["split"]) - len(rows["actual_normalized"]))
     lines = map(",".join, zip(
         map(str, rows["index"]),
         rows["split"],
-        chain(cells("actual"), blank),
-        cells("predicted"),
-        chain(cells("actual_normalized"), blank),
-        cells("predicted_normalized"),
+        chain(map(repr, rows["actual_normalized"].tolist()), blank),
+        map(repr, rows["predicted_normalized"].tolist()),
     ))
+    params = rows["params"]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema: {FORECAST_SCHEMA}\n")
+        fh.write(f"# schema: {FORECAST_SCHEMA}\n# d_min: {float(params.d_min)!r}\n# d_max: {float(params.d_max)!r}\n")
         fh.write("\r\n".join([",".join(FORECAST_COLUMNS), *lines]) + "\r\n")
 
 
 def read_forecast_csv(path: str | Path) -> list[dict]:
-    rows = []
-    lines = [ln for ln in io.StringIO(_read_text(path, "forecast"), newline="") if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or "predicted" not in reader.fieldnames:
-        raise MalformedReportError(f"{path} is not a forecast file")
-    for raw in reader:
+    """A forecast file's rows with raw-scale `actual` and `predicted`: its
+    normalized cells through `dataset.denormalize` with the normalizer of its
+    `#` lines. Only the extrapolated last row may lack an actual value; its
+    `actual` is None."""
+    header, body = {}, []
+    for line in io.StringIO(_read_text(path, "forecast"), newline=""):
+        if line.startswith("#"):
+            key, _, value = line[1:].partition(":")
+            header[key.strip()] = value.strip()
+        else:
+            body.append(line)
+    schema = header.get("schema")
+    if schema != FORECAST_SCHEMA:
+        found = f"schema {schema}" if schema else "no '# schema:' line"
+        raise MalformedReportError(
+            f"{path} has {found}; only {FORECAST_SCHEMA} forecasts are read (train and predict write them)"
+        )
+    try:
+        params = dataset.NormalizationParams(float(header["d_min"]), float(header["d_max"]))
+    except KeyError as exc:
+        raise MalformedReportError(f"{path} has no '# {exc.args[0]}:' line") from None
+    except (ValueError, ConstantSeriesError) as exc:
+        raise MalformedReportError(f"{path}: bad normalizer: {exc}") from None
+    reader = csv.DictReader(body)
+    if reader.fieldnames != list(FORECAST_COLUMNS):
+        raise MalformedReportError(f"{path} is not a forecast file: expected columns {','.join(FORECAST_COLUMNS)}")
+    raws = list(reader)
+    keys, actual, predicted = [], [], []
+    for number, raw in enumerate(raws, 1):
         try:
-            rows.append(
-                {
-                    "index": int(raw["index"]),
-                    "split": raw.get("split", ""),
-                    "actual": float(raw["actual"]) if raw.get("actual") else None,
-                    "predicted": float(raw["predicted"]),
-                }
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedReportError(f"{path}: bad forecast row {raw}: {exc}")
-    return rows
+            keys.append((int(raw["index"]), raw["split"]))
+            predicted.append(float(raw["predicted_normalized"]))
+            if number < len(raws) or raw["actual_normalized"]:
+                actual.append(float(raw["actual_normalized"]))
+        except (TypeError, ValueError) as exc:
+            raise MalformedReportError(f"{path}: bad forecast row {raw}: {exc}") from None
+    return [
+        {"index": index, "split": split, "actual": a, "predicted": p}
+        for (index, split), a, p in zip_longest(
+            keys,
+            dataset.denormalize(np.array(actual), params).tolist(),
+            dataset.denormalize(np.array(predicted), params).tolist(),
+        )
+    ]
 
 
 def _write_json(payload: dict, path: Path) -> None:

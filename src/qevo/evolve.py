@@ -78,8 +78,9 @@ class Population:
         return float(self.fitness[self.best_index])
 
 
-# The most phases a population may hold (128 MiB). Generation 0 alone peaks near 7x
-# that: the genomes, and a cached forward plan of 32 bytes a phase per architecture.
+# The most phases a population may hold (128 MiB). A run's peak is a few times
+# that: the parents, their children, the forward pass's blocks, and up to
+# 2 * network.CACHE_BYTES of cached forward plans and alignment maps.
 MAX_POPULATION_PHASES = 2**24
 
 
@@ -277,7 +278,7 @@ def update_probabilities(successes: list[int], failures: list[int]) -> tuple[flo
     return t1, t2, t3
 
 
-@functools.lru_cache(maxsize=256)
+@network.ByteBoundedCache(network.CACHE_BYTES)
 def _aligned(base: Architecture, other: Architecture) -> np.ndarray:
     """For every entry of a `base` genome, the entry of an `other` genome in
     the same block (a transition's weights, bias or reversals) at the same

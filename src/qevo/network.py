@@ -82,6 +82,7 @@ from __future__ import annotations
 import functools
 import struct
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -94,6 +95,53 @@ HALF_PI = np.pi / 2.0
 
 _GENOME_MAGIC = b"QGNM"
 _GENOME_VERSION = 1
+
+# The most bytes each architecture cache (`_plan` here, `evolve._aligned`)
+# holds: together at most the phase bytes of the largest population
+# (evolve.MAX_POPULATION_PHASES), however many architectures a run meets.
+# A plan near the largest genome such a population allows (about 32 bytes a
+# phase) is larger; it is kept alone, as `forward_batch` asks for it per tile.
+CACHE_BYTES = 2**26
+
+
+class ByteBoundedCache:
+    """Decorator: a least-recently-used memo of a function of hashable
+    arguments whose results have `nbytes`. The kept results' `nbytes` sum to
+    at most `max_bytes`, unless the newest result alone is larger: then it is
+    the only one kept. Every caller gets the same result object, so results
+    must be read-only."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, fn):
+        entries = self.entries
+
+        @functools.wraps(fn)
+        def cached(*key):
+            value = entries.get(key)
+            if value is not None:
+                # A hit takes no lock: each OrderedDict call is atomic, and an
+                # entry another thread evicts in between is still a valid result.
+                try:
+                    entries.move_to_end(key)
+                except KeyError:
+                    pass
+                return value
+            value = fn(*key)
+            with self._lock:
+                if key not in entries:
+                    entries[key] = value
+                    self.nbytes += value.nbytes
+                    while self.nbytes > self.max_bytes and len(entries) > 1:
+                        self.nbytes -= entries.popitem(last=False)[1].nbytes
+            return value
+
+        cached.cache = self
+        return cached
 
 
 @dataclass(frozen=True)
@@ -261,13 +309,17 @@ class _Plan(NamedTuple):
     output_gate: int
     tile_rows: int
 
+    @property
+    def nbytes(self) -> int:
+        return sum(t.nbytes for t in (self.rev, self.fold_dst, self.fold_src, self.gather))
+
 
 # The most multiply-adds one product of `forward_batch` makes; see the
 # module docstring.
 _TILE_MULTIPLY_ADDS = 2**19 - 1
 
 
-@functools.lru_cache(maxsize=4096)
+@ByteBoundedCache(CACHE_BYTES)
 def _plan(arch: Architecture) -> _Plan:
     n = genome_length(arch)
     mats = transitions(arch, np.arange(n))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevo import evolve, network, trace_io
+from qevo import dataset, evolve, network, trace_io
 from qevo.cli import (
     FORECAST_COLUMNS, FORECAST_SCHEMA, RunConfig, load_config_file, main, read_forecast_csv,
     write_forecast_csv,
@@ -238,6 +238,10 @@ def test_unreadable_trace_is_usage_error(tmp_path, capsys, command, data, messag
     assert "Traceback" not in err and message in err
 
 
+V1_FORECAST = b"# schema: qevo.forecast/1\nindex,split,actual,predicted\n3,test,1.5,1.25\n4,future,,2.0\n"
+V2_HEADER = b"# schema: qevo.forecast/2\n# d_min: 2.0\n# d_max: 6.0\nindex,split,actual_normalized,predicted_normalized\n"
+
+
 @pytest.mark.parametrize(
     "argv, files, message",
     [
@@ -247,7 +251,7 @@ def test_unreadable_trace_is_usage_error(tmp_path, capsys, command, data, messag
         (["plot-data", "--report", "{dir}/r.json"], {"r.json": b'{"forecast": "\xff"}'}, "is not UTF-8 text"),
         (["train", "--config", "{dir}/missing.cfg"], {}, "config file not found"),
         (["train", "--config", "{dir}/run.cfg"], {"run.cfg": b"window 5\n"}, "expected 'key = value'"),
-        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": b"index,split,actual,predicted\nthree,test,1.5,1.25\n"},
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": V2_HEADER + b"three,test,0.5,0.25\n"},
          "bad forecast row"),
         (["train"], {}, "--input is required"),
         (["predict", "--input", "{dir}/missing.csv"], {}, "--genome is required"),
@@ -261,11 +265,28 @@ def test_unreadable_trace_is_usage_error(tmp_path, capsys, command, data, messag
         (["train", "--input", "{dir}/missing.csv", "--pi-minutes", "1", "--population", "4", "--generations", "0",
           "--hidden-min", "100000", "--hidden-max", "100000", "--depth-min", "2", "--depth-max", "2"], {},
          "40006000004 phases"),
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": V1_FORECAST}, "schema qevo.forecast/1"),
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": b"index,split,actual,predicted\n3,test,1.5,1.25\n"},
+         "no '# schema:' line"),
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": V2_HEADER.replace(b"# d_min: 2.0\n", b"")},
+         "no '# d_min:' line"),
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": V2_HEADER.replace(b"d_max: 6.0", b"d_max: six")},
+         "bad normalizer"),
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": V2_HEADER.replace(b"d_max: 6.0", b"d_max: nan")},
+         "bad normalizer"),
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": V2_HEADER.replace(b"d_max: 6.0", b"d_max: 2.0")},
+         "bad normalizer"),
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": V2_HEADER + b"3,test,,0.25\n4,future,,0.5\n"},
+         "bad forecast row"),
+        (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": V2_HEADER + b"3,test,0.5,\n4,future,,0.5\n"},
+         "bad forecast row"),
     ],
     ids=[
         "config-not-utf8", "forecast-not-utf8", "report-not-utf8", "config-missing", "config-line-without-equals",
         "forecast-bad-row", "train-without-input", "predict-without-genome", "train-pi-minutes-past-float",
-        "predict-pi-minutes-past-float", "train-population-past-phase-bound",
+        "predict-pi-minutes-past-float", "train-population-past-phase-bound", "forecast-v1", "forecast-no-schema",
+        "forecast-no-d-min", "forecast-d-max-not-a-float", "forecast-d-max-nan", "forecast-d-max-not-above-d-min",
+        "forecast-empty-actual-before-the-last-row", "forecast-empty-prediction",
     ],
 )
 def test_bad_file_or_missing_flag_is_usage_error(tmp_path, capsys, argv, files, message):
@@ -309,7 +330,7 @@ def test_plot_data_takes_exactly_one_source(tmp_path, capsys, sources):
 
 def test_plot_data_empty_forecast(tmp_path, capsys):
     empty = tmp_path / "forecast.csv"
-    empty.write_text("# schema: qevo.forecast/1\nindex,split,actual,predicted,actual_normalized,predicted_normalized\n")
+    empty.write_bytes(V2_HEADER)
     code = main(["plot-data", "--forecast", str(empty), "--out-dir", str(tmp_path)])
     assert code == 2
     assert "plot" in capsys.readouterr().err
@@ -531,17 +552,16 @@ def test_bad_numeric_flag_is_usage_error(trace_file, tmp_path, capsys, command, 
 
 def _csv_writer_reference(rows, path):
     """The forecast file as a csv.writer writes it row by row."""
+    params = rows["params"]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema: {FORECAST_SCHEMA}\n")
+        fh.write(f"# schema: {FORECAST_SCHEMA}\n# d_min: {params.d_min!r}\n# d_max: {params.d_max!r}\n")
         writer = csv.writer(fh)
         writer.writerow(FORECAST_COLUMNS)
         for i, index in enumerate(rows["index"]):
-            has_actual = i < len(rows["actual"])
+            has_actual = i < len(rows["actual_normalized"])
             writer.writerow([
                 index,
                 rows["split"][i],
-                repr(float(rows["actual"][i])) if has_actual else "",
-                repr(float(rows["predicted"][i])),
                 repr(float(rows["actual_normalized"][i])) if has_actual else "",
                 repr(float(rows["predicted_normalized"][i])),
             ])
@@ -552,14 +572,43 @@ def test_write_forecast_csv_matches_csv_writer(tmp_path):
     rows = {
         "index": range(3, 10),
         "split": ["train"] * 4 + ["test"] * 2 + ["future"],
-        "actual": values[::-1].copy(),
-        "predicted": np.append(values, 2.5e-310),
         "actual_normalized": values,
         "predicted_normalized": np.append(values[::-1], 1e-5),
+        "params": dataset.NormalizationParams(-2.5e-310, 0.30000000000000004),
     }
     write_forecast_csv(rows, tmp_path / "fast.csv")
     _csv_writer_reference(rows, tmp_path / "reference.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# Normalized values in [0, 1], with the subnormals and both ends drawn often.
+_UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 2.5e-310, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bounds=st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)).filter(lambda b: b[0] < b[1]),
+    actual=st.lists(_UNIT, min_size=1, max_size=20),
+    data=st.data(),
+)
+def test_forecast_round_trip_derives_the_raw_values(bounds, actual, data):
+    predicted = data.draw(st.lists(_UNIT, min_size=len(actual) + 1, max_size=len(actual) + 1))
+    params = dataset.NormalizationParams(*bounds)
+    rows = {
+        "index": range(4, 4 + len(predicted)),
+        "split": ["series"] * len(actual) + ["future"],
+        "actual_normalized": np.array(actual),
+        "predicted_normalized": np.array(predicted),
+        "params": params,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        write_forecast_csv(rows, Path(tmp) / "forecast.csv")
+        read = read_forecast_csv(Path(tmp) / "forecast.csv")
+    assert [(r["index"], r["split"]) for r in read] == list(zip(rows["index"], rows["split"]))
+    assert read[-1]["actual"] is None
+    bits = lambda values: np.array(values, dtype=float).view(np.uint64).tolist()
+    assert bits([r["actual"] for r in read[:-1]]) == bits(dataset.denormalize(np.array(actual), params))
+    assert bits([r["predicted"] for r in read]) == bits(dataset.denormalize(np.array(predicted), params))
 
 
 # The CLI backstop: over generated argv, config files and inputs, `main`
@@ -597,7 +646,7 @@ def cli_cases(draw):
     files = {}
     if command == "plot-data":
         files["forecast"] = draw(st.sampled_from([
-            b"# schema: qevo.forecast/1\nindex,split,actual,predicted\n3,test,1.5,1.25\n4,future,,2.0\n",
+            V2_HEADER + b"3,test,0.5,0.25\n4,future,,1.0\n", V1_FORECAST,
             b"index,split,actual,predicted\n", b"not,a,forecast\n", b"index,split,actual,predicted\n3,test,\xff,1.25\n",
         ]))
         files["report"] = draw(st.sampled_from([

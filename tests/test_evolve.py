@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevo import dataset, evolve
+from qevo import dataset, evolve, network
 from qevo.errors import (
     CheckpointFormatError,
     MonotonicityViolationError,
@@ -419,6 +419,50 @@ def test_train_deterministic():
     best2, report2 = train(cfg, data)
     assert best1 == best2
     assert report1.to_dict() == report2.to_dict()
+
+
+def _held_bytes(cached) -> int:
+    """The bytes of the tables a cache holds, summed from the tables themselves."""
+    values = cached.cache.entries.values()
+    return sum(t.nbytes for v in values for t in (v if isinstance(v, tuple) else (v,)) if isinstance(t, np.ndarray))
+
+
+def test_architecture_caches_stay_under_their_byte_bound(monkeypatch):
+    # Hidden widths 20-80 at depth 1-3 give most children an architecture of
+    # their own: plans of 10-450 KB, alignment maps of 2-55 KB. Bounds of
+    # 512 and 64 KiB hold a few of each, so both caches evict throughout the
+    # run; the run must not notice.
+    bounds = {network._plan: 2**19, evolve._aligned: 2**16}
+    assert [c.cache.max_bytes for c in bounds] == [network.CACHE_BYTES] * 2
+    data = tiny_dataset(points=60)
+    config = tiny_config(hidden_range=(20, 80), depth_range=(1, 3), generations=3)
+    reference = train(config, data)
+    for cached, bound in bounds.items():
+        monkeypatch.setattr(cached.cache, "max_bytes", bound)
+        cached.cache.entries.clear()  # emptying a cache changes no result
+        cached.cache.nbytes = 0
+    held, architectures, pairs = [], set(), set()
+    forward, aligned = network.forward_states, evolve._aligned
+
+    def recording_forward(genome, states, diag=None):
+        out = forward(genome, states, diag)
+        architectures.add(genome.architecture)
+        held.append([_held_bytes(c) for c in bounds])
+        return out
+
+    def recording_aligned(base, other):
+        pairs.add((base, other))
+        return aligned(base, other)
+
+    monkeypatch.setattr(network, "forward_states", recording_forward)
+    monkeypatch.setattr(evolve, "_aligned", recording_aligned)
+    best, run = train(config, data)
+    assert best == reference[0] and run.to_dict() == reference[1].to_dict()
+    assert all(max(column) <= bound for column, bound in zip(zip(*held), bounds.values()))
+    assert [_held_bytes(c) for c in bounds] == [c.cache.nbytes for c in bounds]
+    # What the run asked for is far more than the bounds let the caches keep.
+    assert sum(network._plan(arch).nbytes for arch in architectures) > 4 * bounds[network._plan]
+    assert sum(4 * genome_length(base) for base, _ in pairs) > 4 * bounds[aligned]
 
 
 def test_train_zero_generations():

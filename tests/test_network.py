@@ -435,6 +435,24 @@ def _record_tile_rows(monkeypatch):
     return rows
 
 
+def test_byte_bounded_cache_evicts_least_recently_used_first():
+    calls = []
+
+    @network.ByteBoundedCache(max_bytes=100)
+    def block(n):
+        calls.append(n)
+        return np.zeros(n, dtype=np.uint8)
+
+    a, b = block(40), block(50)
+    assert block(40) is a  # a hit, and now the most recently used
+    block(30)  # 120 bytes: b, the least recently used, goes
+    assert list(block.cache.entries) == [(40,), (30,)] and block.cache.nbytes == 70
+    big = block(101)  # larger than the bound: kept alone
+    assert list(block.cache.entries) == [(101,)] and block(101) is big
+    assert block(50) is not b and list(block.cache.entries) == [(50,)]
+    assert calls == [40, 50, 30, 101, 50]
+
+
 def test_tiles_keep_every_product_under_the_bound():
     rng = np.random.default_rng(15)
     for _ in range(200):
