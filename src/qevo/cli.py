@@ -117,8 +117,7 @@ def _read_text(path: str | Path, kind: str) -> str:
     try:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start : exc.end].hex(" ")
-        raise InputError(f"{path} is not UTF-8 text ({exc.reason}: {bad})") from None
+        raise InputError.not_utf8(path, exc) from None
 
 
 def load_config_file(path: str | Path) -> dict:

@@ -13,6 +13,12 @@ class QevoError(Exception):
 class InputError(QevoError):
     """Unreadable or malformed external input (file/CLI level)."""
 
+    @classmethod
+    def not_utf8(cls, path, exc: UnicodeDecodeError) -> "InputError":
+        """The error for a file that does not decode as UTF-8, naming the bad bytes."""
+        bad = exc.object[exc.start : exc.end].hex(" ")
+        return cls(f"{path} is not UTF-8 text ({exc.reason}: {bad})")
+
 
 class MalformedRowError(InputError):
     """A trace row failed to parse; carries the offending row index."""

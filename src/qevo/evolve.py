@@ -52,6 +52,7 @@ class Strategy(enum.Enum):
 
 
 STRATEGIES = (Strategy.RAND_ONE, Strategy.CURRENT_TO_BEST, Strategy.BEST_ONE)
+INITIAL_PROBABILITIES = (0.33, 0.33, 0.34)  # generation 1's, before any counts exist
 
 
 class TrainingMode(str, enum.Enum):
@@ -132,12 +133,18 @@ class TrainingRun:
     population: Population
     fitness_trajectory: tuple[float, ...]
     degenerate_args: int
-    next_generation: int = 1
-    probabilities: tuple[float, float, float] = (0.33, 0.33, 0.34)
     probability_trajectory: tuple[tuple[float, float, float], ...] = ()
-    success_totals: dict[str, int] = field(
-        default_factory=lambda: {s.value: 0 for s in STRATEGIES}
-    )
+    success_totals: dict[str, int] = field(default_factory=lambda: {s.value: 0 for s in STRATEGIES})
+
+    @property
+    def next_generation(self) -> int:
+        """The trajectory holds generation 0's best and one entry per generation run."""
+        return len(self.fitness_trajectory)
+
+    @property
+    def probabilities(self) -> tuple[float, float, float]:
+        """The strategy probabilities the next generation selects with."""
+        return self.probability_trajectory[-1] if self.probability_trajectory else INITIAL_PROBABILITIES
 
     @property
     def best_fitness(self) -> float:
@@ -308,10 +315,6 @@ def _combine_blockwise(
     """
     arch = base.architecture
     out = base.phases.copy()
-    if all(g.architecture == arch for _, a, b in terms for g in (a, b)):
-        for coeff, a, b in terms:
-            out += coeff * (a.phases - b.phases)
-        return out
     maps = [(_aligned(arch, a.architecture), _aligned(arch, b.architecture)) for _, a, b in terms]
     shared = np.flatnonzero(functools.reduce(np.minimum, [m for pair in maps for m in pair]) >= 0)
     value = out[shared]
@@ -472,7 +475,7 @@ def init_population(config: TrainingConfig, fitness_fn) -> tuple[Population, int
     return Population(candidates, fitness), degenerate
 
 
-_CHECKPOINT_SCHEMA = "qevo.checkpoint/1"
+_CHECKPOINT_SCHEMA = "qevo.checkpoint/2"
 
 
 def save_checkpoint(run: TrainingRun, path: str | Path) -> None:
@@ -480,11 +483,6 @@ def save_checkpoint(run: TrainingRun, path: str | Path) -> None:
         "schema": _CHECKPOINT_SCHEMA,
         "seed": run.seed,
         "mode": run.mode,
-        "next_generation": run.next_generation,
-        "probabilities": run.probabilities,
-        # A generation's counts are spent on its probabilities, so a saved run has none.
-        "successes": [0, 0, 0],
-        "failures": [0, 0, 0],
         "fitness_trajectory": run.fitness_trajectory,
         "probability_trajectory": run.probability_trajectory,
         "success_totals": run.success_totals,
@@ -512,41 +510,43 @@ def _numbers(values: list, kind: type, length: int | None = None) -> list:
 
 
 def load_checkpoint(path: str | Path) -> TrainingRun:
-    """Read a `save_checkpoint` file. A missing key, a value of the wrong
-    type, bad base64, a bad genome or a non-zero count raises CheckpointFormatError."""
+    """Read a `save_checkpoint` file. Another schema, a missing key, a value of
+    the wrong type, bad base64, a bad genome, an empty population or fitness
+    trajectory, a probability trajectory not one entry per varied generation,
+    or a last fitness not the population's best raises CheckpointFormatError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise CheckpointFormatError(f"cannot read checkpoint {path}: {exc}")
-    if not isinstance(payload, dict) or payload.get("schema") != _CHECKPOINT_SCHEMA:
-        raise CheckpointFormatError(f"{path} is not a {_CHECKPOINT_SCHEMA} file")
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != _CHECKPOINT_SCHEMA:
+        raise CheckpointFormatError(f"{path} is schema {schema!r}, not {_CHECKPOINT_SCHEMA}")
     try:
         entries = payload["population"]
         candidates = [
             network.genome_from_bytes(base64.b64decode(e["genome"], validate=True)) for e in entries
         ]
         fitness = np.array(_numbers([e["fitness"] for e in entries], float))
-        seed, next_generation, degenerate = _numbers(
-            [payload[k] for k in ("seed", "next_generation", "degenerate_args")], int
-        )
-        if any(_numbers(payload[k], int, 3) != [0, 0, 0] for k in ("successes", "failures")):
-            raise ValueError("successes and failures must be [0, 0, 0]")
+        seed, degenerate = _numbers([payload[k] for k in ("seed", "degenerate_args")], int)
         names = [s.value for s in STRATEGIES]
-        return TrainingRun(
+        run = TrainingRun(
             seed=seed,
             mode=TrainingMode(payload["mode"]).value,
-            next_generation=next_generation,
-            probabilities=tuple(_numbers(payload["probabilities"], float, 3)),
             population=Population(candidates, fitness),
             fitness_trajectory=tuple(_numbers(payload["fitness_trajectory"], float)),
-            probability_trajectory=tuple(
-                tuple(_numbers(p, float, 3)) for p in payload["probability_trajectory"]
-            ),
-            success_totals=dict(
-                zip(names, _numbers([payload["success_totals"][n] for n in names], int))
-            ),
+            probability_trajectory=tuple(tuple(_numbers(p, float, 3)) for p in payload["probability_trajectory"]),
+            success_totals=dict(zip(names, _numbers([payload["success_totals"][n] for n in names], int))),
             degenerate_args=degenerate,
         )
+        if not candidates or not run.fitness_trajectory:
+            raise ValueError("empty population or fitness trajectory")
+        varied = 0 if run.mode == TrainingMode.FIXED_ALL else run.next_generation - 1
+        if len(run.probability_trajectory) != varied:
+            raise ValueError(f"probability trajectory of {len(run.probability_trajectory)} entries "
+                             f"after {varied} varied generations")
+        if run.fitness_trajectory[-1] != run.best_fitness:
+            raise ValueError(f"last fitness {run.fitness_trajectory[-1]} is not the best {run.best_fitness}")
+        return run
     except (KeyError, TypeError, ValueError, GenomeFormatError) as exc:
         raise CheckpointFormatError(f"bad checkpoint {path}: {exc}") from exc
 
@@ -625,14 +625,12 @@ def train(
                 (successes if succeeded else failures)[STRATEGIES.index(strategy)] += 1
             probabilities = update_probabilities(successes, failures)
             run = replace(
-                run, population=Population(candidates, fitness), probabilities=probabilities,
+                run, population=Population(candidates, fitness),
                 probability_trajectory=(*run.probability_trajectory, probabilities),
                 success_totals={s.value: run.success_totals[s.value] + n for s, n in zip(STRATEGIES, successes)},
                 degenerate_args=run.degenerate_args + sum(deg for scored in scores for _, deg in scored),
             )
-        run = replace(
-            run, fitness_trajectory=(*run.fitness_trajectory, run.best_fitness), next_generation=gen + 1
-        )
+        run = replace(run, fitness_trajectory=(*run.fitness_trajectory, run.best_fitness))
         if checkpoint_dir is not None:
             save_checkpoint(run, checkpoint_dir / f"checkpoint_gen{gen:04d}.json")
 

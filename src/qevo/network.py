@@ -322,7 +322,9 @@ _TILE_MULTIPLY_ADDS = 2**19 - 1
 @ByteBoundedCache(CACHE_BYTES)
 def _plan(arch: Architecture) -> _Plan:
     n = genome_length(arch)
-    mats = transitions(arch, np.arange(n))
+    # Entries index the 4n-entry angle table, so int32 holds them while
+    # 4n < 2**31; the fold tables are widened to intp for `_matrices`.
+    mats = transitions(arch, np.arange(n, dtype=np.int32))
     in_widths = arch.widths[:-1]
     cos, neg_cos, neg_sin = 0, 2 * n, 3 * n
     rev = [m[-1] for m in mats]
@@ -340,12 +342,7 @@ def _plan(arch: Architecture) -> _Plan:
         gather += halves
         matrices.append((start, start + 2 * halves[0].size, m.shape[1]))
         start += 2 * halves[0].size
-    tables = (
-        np.concatenate(rev),
-        np.concatenate(dst),
-        np.concatenate(src),
-        np.concatenate(gather).astype(np.int32),
-    )
+    tables = (*(np.concatenate(t, dtype=np.intp) for t in (rev, dst, src)), np.concatenate(gather))
     for table in tables:
         table.setflags(write=False)
     # A matrix holds M*K = stop - start entries, so a tile's largest product

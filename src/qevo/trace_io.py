@@ -212,8 +212,7 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
                     next(reader)
                 columns = _read_rows(reader, t_idx, v_idx)
     except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start : exc.end].hex(" ")
-        raise InputError(f"{path} is not UTF-8 text ({exc.reason}: {bad})") from None
+        raise InputError.not_utf8(path, exc) from None
     except csv.Error as exc:  # _read_rows reports its own rows
         raise InputError(f"{path}: header row: {exc}") from None
     times, values = columns

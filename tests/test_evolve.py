@@ -1,4 +1,6 @@
+import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -471,6 +473,7 @@ def test_train_zero_generations():
     best, report = train(cfg, data)
     assert len(report.fitness_trajectory) == 1
     assert report.probability_trajectory == ()
+    assert report.next_generation == 1 and report.probabilities == evolve.INITIAL_PROBABILITIES
     assert report.best_fitness == report.fitness_trajectory[0]
 
 
@@ -493,29 +496,44 @@ def test_train_fixed_all_mode_is_initialization_only():
     assert report.fitness_trajectory[0] == report.fitness_trajectory[-1]
     assert all(v == 0 for v in report.success_totals.values())
     assert report.probability_trajectory == ()
+    assert report.probabilities == evolve.INITIAL_PROBABILITIES
 
 
 @pytest.fixture(scope="module")
 def five_generations(tmp_path_factory):
-    """A 5-generation run: its config, best genome, record and checkpoint directory."""
-    out = tmp_path_factory.mktemp("five-generations")
-    cfg = tiny_config(generations=5, seed=4)
-    best, run = train(cfg, tiny_dataset(), checkpoint_dir=out)
-    return cfg, best, run, out
+    """A 5-generation run in a mode: its config, best genome, record and checkpoint directory."""
+
+    @functools.cache
+    def run_in(mode: str = "full"):
+        out = tmp_path_factory.mktemp(f"five-generations-{mode}")
+        cfg = tiny_config(generations=5, seed=4, mode=mode)
+        best, run = train(cfg, tiny_dataset(), checkpoint_dir=out)
+        return cfg, best, run, out
+
+    return run_in
 
 
-# Generation 5 is the last: resuming from it runs no generation.
-@pytest.mark.parametrize("generation", range(1, 6))
-def test_train_checkpoint_resume_matches_uninterrupted(five_generations, generation):
-    cfg, best_full, report_full, out = five_generations
+# Generation 5 is the last: resuming from it runs no generation. Full mode's
+# cases are named by generation alone.
+@pytest.mark.parametrize(
+    "mode, generation",
+    [
+        pytest.param(mode, g, id=str(g) if mode == "full" else f"{mode}-{g}")
+        for mode in ("full", "fixed-arch", "fixed-all")
+        for g in range(1, 6)
+    ],
+)
+def test_train_checkpoint_resume_matches_uninterrupted(five_generations, mode, generation):
+    cfg, best_full, report_full, out = five_generations(mode)
     ckpt = evolve.load_checkpoint(out / f"checkpoint_gen{generation:04d}.json")
+    assert ckpt.next_generation == generation + 1
     best_resumed, report_resumed = train(cfg, tiny_dataset(), resume=ckpt)
     assert best_resumed == best_full
     assert report_resumed.to_dict() == report_full.to_dict()
 
 
 def test_train_resume_leaves_the_checkpoint_unchanged(five_generations):
-    cfg, _, report_full, out = five_generations
+    cfg, _, report_full, out = five_generations()
     ckpt = evolve.load_checkpoint(out / "checkpoint_gen0002.json")
     for _ in range(2):
         _, report_resumed = train(cfg, tiny_dataset(), resume=ckpt)
@@ -545,9 +563,8 @@ def test_train_resume_rejects_a_checkpoint_of_another_shape(tmp_path, overrides)
 
 
 CHECKPOINT_KEYS = [
-    "schema", "seed", "mode", "next_generation", "probabilities", "successes", "failures",
-    "fitness_trajectory", "probability_trajectory", "success_totals", "degenerate_args",
-    "population",
+    "schema", "seed", "mode", "fitness_trajectory", "probability_trajectory", "success_totals",
+    "degenerate_args", "population",
 ]
 
 
@@ -572,29 +589,52 @@ def test_load_checkpoint_rejects_a_missing_key(tmp_path, checkpoint_payload, key
         _load_payload(tmp_path, payload)
 
 
+# Explicit ids keep each case's name whatever its place in the list.
 @pytest.mark.parametrize(
     "key, value",
     [
         ("seed", "4"),
-        ("next_generation", 2.5),
         ("degenerate_args", True),
         ("mode", 3),
-        ("probabilities", [0.5, 0.5]),
-        ("successes", [1, 2, "3"]),
-        ("fitness_trajectory", {"0": 0.1}),
-        ("probability_trajectory", [None]),
-        ("success_totals", [1, 2, 3]),
-        ("population", [{"genome": "not base64!", "fitness": 0.1}]),
-        ("population", [{"genome": "AAAA", "fitness": 0.1}]),
+        pytest.param("fitness_trajectory", {"0": 0.1}, id="fitness_trajectory-value6"),
+        pytest.param("probability_trajectory", [None], id="probability_trajectory-value7"),
+        pytest.param("success_totals", [1, 2, 3], id="success_totals-value8"),
+        pytest.param("population", [{"genome": "not base64!", "fitness": 0.1}], id="population-value9"),
+        pytest.param("population", [{"genome": "AAAA", "fitness": 0.1}], id="population-value10"),
         ("population", "abc"),
-        ("successes", [7, 0, 0]),
-        ("failures", [0, 0, 1]),
-        ("successes", [0.0, 0, 0]),
     ],
 )
 def test_load_checkpoint_rejects_a_wrong_value(tmp_path, checkpoint_payload, key, value):
     with pytest.raises(CheckpointFormatError):
         _load_payload(tmp_path, {**checkpoint_payload, key: value})
+
+
+# Edits of a full-mode generation-1 checkpoint, whose trajectories hold two
+# fitness values and one probability triple.
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (
+            lambda p: {**p, "schema": "qevo.checkpoint/1", "next_generation": 2,
+                       "probabilities": p["probability_trajectory"][-1],
+                       "successes": [0, 0, 0], "failures": [0, 0, 0]},
+            "schema 'qevo.checkpoint/1'",
+        ),
+        (lambda p: {**p, "probability_trajectory": []}, "probability trajectory of 0 entries after 1"),
+        (lambda p: {**p, "mode": "fixed-all"}, "probability trajectory of 1 entries after 0"),
+        (
+            lambda p: {**p, "fitness_trajectory": [*p["fitness_trajectory"][:-1], 1e9]},
+            "last fitness 1000000000.0 is not the best",
+        ),
+        (lambda p: {**p, "fitness_trajectory": []}, "empty population or fitness trajectory"),
+        (lambda p: {**p, "population": []}, "empty population or fitness trajectory"),
+    ],
+    ids=["v1", "probabilities-short", "probabilities-in-fixed-all", "last-fitness-not-best",
+         "empty-trajectory", "empty-population"],
+)
+def test_load_checkpoint_rejects_an_inconsistent_run(tmp_path, checkpoint_payload, edit, match):
+    with pytest.raises(CheckpointFormatError, match=re.escape(match)):
+        _load_payload(tmp_path, edit(checkpoint_payload))
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

@@ -1,6 +1,7 @@
 import math
 import struct
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -461,6 +462,19 @@ def test_tiles_keep_every_product_under_the_bound():
         largest = max(stop - start for start, stop, _ in plan.matrices)
         assert largest * plan.tile_rows < 2**19 <= largest * (plan.tile_rows + 1)
     assert network._plan(Architecture(10, (8, 8))).tile_rows == 1560
+
+
+def test_plan_build_peak_stays_near_its_tables():
+    arch = Architecture(10, (300, 300))
+    tracemalloc.start()
+    try:
+        plan = network._plan.__wrapped__(arch)  # built afresh, not read from the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.gather.dtype == np.int32
+    assert all(t.dtype == np.intp for t in (plan.rev, plan.fold_dst, plan.fold_src))
+    assert peak < 2.5 * plan.nbytes
 
 
 TILED = Architecture(12, (20, 6))
