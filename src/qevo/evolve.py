@@ -8,21 +8,23 @@ matches or beats it (elitist adoption, so the population best never gets
 worse). Each generation's success/failure count per strategy re-derives
 the selection probabilities for the next.
 
-A generation runs in three phases, each in candidate order: vary every
-candidate (strategy, rate, modulation, recombination), evaluate every child,
-then select every survivor. Its outcome is one frozen `TrainingRun`.
+A generation runs in three phases: vary every candidate, evaluate every
+child, then select every survivor. Its outcome is one frozen `TrainingRun`.
+Varying is a draw pass (`draw_terms`), one array pass building every
+perturbed genome (`modulate`), and a recombine pass. A child that is its
+candidate is not re-scored: it reuses its (fitness, degenerate args).
 
 Determinism: every random draw for candidate i in generation g comes from a
 stream seeded by (seed, g, i), so a candidate's step depends on nothing but
 the generation it starts from and the probabilities fixed at its start, and
-results are bit-identical across runs.
+results are bit-identical across runs. Each stream pauses after its donor
+draws and resumes to recombine, so its draws keep their order.
 """
 
 from __future__ import annotations
 
 import base64
 import enum
-import functools
 import itertools
 import json
 import math
@@ -40,7 +42,7 @@ from .errors import (
     PopulationTooSmallError,
 )
 from .metrics import rmse
-from .network import HALF_PI, Architecture, NetworkGenome, genome_length, transitions
+from .network import HALF_PI, Architecture, NetworkGenome
 
 
 class Strategy(enum.Enum):
@@ -80,8 +82,8 @@ class Population:
 
 
 # The most phases a population may hold (128 MiB). A run's peak is a few times
-# that: the parents, their children, the forward pass's blocks, and up to
-# 2 * network.CACHE_BYTES of cached forward plans and alignment maps.
+# that: the parents, their perturbed genomes and children, the forward pass's
+# blocks, and up to network.CACHE_BYTES of cached forward plans.
 MAX_POPULATION_PHASES = 2**24
 
 
@@ -203,9 +205,10 @@ def _streams(seed: int, generation: int, indices: range):
     SeedSequence's mix_entropy and generate_state(4, uint64) run for all
     indices at once in uint32; PCG64 then seeds from the words v as
     inc = 2*v[2:4] + 1, state = (v[0:2] + inc) * mult + inc, mod 2**128. One
-    Generator is reseeded in place each time, so finish with a stream before
-    drawing the next. It exists for speed: 4,080 streams took 46-58 ms, and
-    default_rng((seed, generation, i)) 89-129 ms, on a 2-core x86 host.
+    Generator is reseeded in place each time; a stream pauses when its
+    `bit_generator.state` is saved and resumes when it is restored. It exists
+    for speed: 4,080 streams took 46-58 ms, and default_rng((seed,
+    generation, i)) 89-129 ms, on a 2-core x86 host.
     """
     if indices and indices[-1] > _MASK32:
         raise ValueError("stream indices must be below 2**32")
@@ -285,73 +288,68 @@ def update_probabilities(successes: list[int], failures: list[int]) -> tuple[flo
     return t1, t2, t3
 
 
-@network.ByteBoundedCache(network.CACHE_BYTES)
-def _aligned(base: Architecture, other: Architecture) -> np.ndarray:
-    """For every entry of a `base` genome, the entry of an `other` genome in
-    the same block (a transition's weights, bias or reversals) at the same
-    flat offset, or -1 where the other's block is shorter or missing.
-    Read-only, cached per architecture pair."""
-    index = np.full(genome_length(base), -1, dtype=np.int32)
-    theirs = transitions(other, np.arange(genome_length(other), dtype=np.int32))
-    for w, v, mine, yours in zip(base.widths, other.widths, transitions(base, index), theirs):
-        for dst, src in ((mine[:w], yours[:v]), (mine[w:-1], yours[v:-1]), (mine[-1:], yours[-1:])):
-            # Row slices of a contiguous matrix, so the reshapes are views.
-            dst, src = dst.reshape(-1), src.reshape(-1)
-            length = min(dst.size, src.size)
-            dst[:length] = src[:length]
-    index.setflags(write=False)
-    return index
+# A perturbed genome in population indices: its base and its (rate, a, b) terms, in order.
+Terms = tuple[int, tuple[tuple[float, int, int], ...]]
 
 
-def _combine_blockwise(
-    base: NetworkGenome,
-    terms: list[tuple[float, NetworkGenome, NetworkGenome]],
-) -> np.ndarray:
-    """base + sum(coeff * (a - b)) aligned block by block.
-
-    Donor architectures may differ from the base; each block contributes only
-    on the overlapping prefix shared by every participant, and positions any
-    donor lacks keep the base entry.
-    """
-    arch = base.architecture
-    out = base.phases.copy()
-    maps = [(_aligned(arch, a.architecture), _aligned(arch, b.architecture)) for _, a, b in terms]
-    shared = np.flatnonzero(functools.reduce(np.minimum, [m for pair in maps for m in pair]) >= 0)
-    value = out[shared]
-    for (coeff, a, b), (map_a, map_b) in zip(terms, maps):
-        value += coeff * (a.phases[map_a[shared]] - b.phases[map_b[shared]])
-    out[shared] = value
-    return out
-
-
-def modulate(
-    strategy: Strategy,
-    index: int,
-    population: Population,
-    best: NetworkGenome,
-    rate: float,
-    rng: np.random.Generator,
-) -> NetworkGenome:
-    """Produce the perturbed genome for one candidate.
-
-    Three mutually distinct donors (all != index) are drawn; the perturbed
-    genome inherits the base vector's architecture (the donor for rand-one,
-    the candidate for current-to-best, the best-so-far for best-one).
-    """
+def draw_terms(strategy: Strategy, index: int, population: Population, best: int, rate: float,
+               rng: np.random.Generator) -> Terms:
+    """Draw three mutually distinct donors (all != index) for one candidate
+    and return its `Terms`. The base is the first donor for rand-one, the
+    candidate for current-to-best, and the best candidate `best` for best-one."""
     n = len(population.candidates)
     if n < 4:
         raise PopulationTooSmallError(f"population of {n} cannot supply 3 distinct donors")
-    picks = rng.choice(n - 1, size=3, replace=False).tolist()
-    r1, r2, r3 = (population.candidates[j + (j >= index)] for j in picks)
-    current = population.candidates[index]
-
+    r1, r2, r3 = (j + (j >= index) for j in rng.choice(n - 1, size=3, replace=False).tolist())
     if strategy is Strategy.RAND_ONE:
-        base, terms = r1, [(rate, r2, r3)]
-    elif strategy is Strategy.CURRENT_TO_BEST:
-        base, terms = current, [(rate, best, current), (rate, r1, r2)]
-    else:
-        base, terms = best, [(rate, r1, r2)]
-    return NetworkGenome(base.architecture, _combine_blockwise(base, terms))
+        return r1, ((rate, r2, r3),)
+    if strategy is Strategy.CURRENT_TO_BEST:
+        return index, ((rate, best, index), (rate, r1, r2))
+    return best, ((rate, r1, r2),)
+
+
+def modulate(population: Population, terms: list[Terms]) -> list[NetworkGenome]:
+    """Every candidate's perturbed genome, base + sum(c * (a - b)) over its
+    `Terms`, in one array pass. A block is a transition's weights, its bias or
+    its reversals. In each block the terms add, in order, on the prefix that
+    the base and every donor have at the same flat offset; the other entries
+    keep the base's, as does the architecture. A non-finite phase raises
+    ValueError."""
+
+    def runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:  # each [start, start + length), in turn
+        return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+    archs = [g.architecture for g in population.candidates]
+    depth = max(a.depth for a in archs)
+    widths = np.array([a.widths + (0,) * (depth + 1 - a.depth) for a in archs])
+    # Each genome's block lengths in order (0 past its last; no bias into the
+    # output), and where each block starts in the genomes laid end to end.
+    w_in, w_out = widths[:, :-2], widths[:, 1:-1]
+    lengths = np.stack((w_in * w_out, w_out * (widths[:, 2:] > 0), w_out), axis=2).reshape(len(archs), -1)
+    starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
+    flat = np.concatenate([g.phases for g in population.candidates])
+    # Every term as (candidate, its place among the candidate's terms, rate,
+    # a, b), and each (candidate, block) pair's shared length: the shortest
+    # among the base and its donors.
+    owner, place, rate, plus, minus = map(np.array, zip(
+        *[(k, j, *term) for k, (_, ts) in enumerate(terms) for j, term in enumerate(ts)]))
+    base = np.array([b for b, _ in terms])
+    shared = lengths[base]
+    sizes = shared.sum(axis=1)
+    np.minimum.at(shared, owner, np.minimum(lengths[plus], lengths[minus]))
+    out = flat[runs(starts[base, 0], sizes)]
+    origin = starts[base] - starts[base, :1] + (np.cumsum(sizes) - sizes)[:, None]  # block starts in `out`
+    for j in range(place.max() + 1):
+        # Each candidate's j-th term, if it has one: adding 0.0 would turn -0.0 into 0.0.
+        t, k = place == j, owner[place == j]
+        count = shared[k].ravel()
+        diff = flat[runs(starts[plus[t]].ravel(), count)] - flat[runs(starts[minus[t]].ravel(), count)]
+        out[runs(origin[k].ravel(), count)] += np.repeat(rate[t], shared[k].sum(axis=1)) * diff
+    if not np.isfinite(out).all():
+        raise ValueError("genome phases must be finite")
+    ends = np.cumsum(sizes).tolist()
+    return [NetworkGenome._trusted(archs[k], out[end - size : end].copy())
+            for k, size, end in zip(base.tolist(), sizes.tolist(), ends)]
 
 
 def _fit(rows: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
@@ -375,9 +373,12 @@ def _splice(
     primary bundles [1..keep] followed by donor bundles [donor_cut+1..].
     Transferred rows are truncated or padded with uniform draws in
     [-pi/2, pi/2] to the child's adjacent-layer widths, the incoming
-    transition's pad drawn before the outgoing one's."""
+    transition's pad drawn before the outgoing one's. A child that keeps
+    every primary bundle and takes none is `primary` itself, drawing nothing."""
     p_arch, d_arch = primary.architecture, donor.architecture
-    d_width = d_arch.hidden_widths[level - 1]
+    p_width, d_width = p_arch.hidden_widths[level - 1], d_arch.hidden_widths[level - 1]
+    if keep == p_width and donor_cut == d_width:
+        return primary
     hidden = list(p_arch.hidden_widths)
     hidden[level - 1] = keep + d_width - donor_cut
     p_in, p_out = primary.transitions[level - 1 : level + 1]
@@ -402,9 +403,10 @@ def _splice(
     phases = np.concatenate(
         (primary.phases[:head], incoming.ravel(), outgoing.ravel(), primary.phases[tail:])
     )
-    # Every entry is a validated parent's phase or a finite draw, in the
+    # Every width and entry is a validated parent's or a finite draw, in the
     # layout's order, so the child skips re-validation.
-    return NetworkGenome._trusted(Architecture(p_arch.input_width, tuple(hidden)), phases)
+    arch = p_arch if hidden[level - 1] == p_width else Architecture._trusted(p_arch.input_width, tuple(hidden))
+    return NetworkGenome._trusted(arch, phases)
 
 
 def recombine(
@@ -590,8 +592,15 @@ def train(
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
     fitness_fn = DatasetFitness(train_data)
+    known = {}  # id -> (genome, (fitness, degenerate args)), pruned to the population after each select
+
+    def score(genome: NetworkGenome) -> tuple[float, int]:
+        if id(genome) not in known:
+            known[id(genome)] = genome, fitness_fn(genome)
+        return known[id(genome)][1]
+
     if resume is None:
-        population, degenerate = init_population(config, fitness_fn)
+        population, degenerate = init_population(config, score)
         run = TrainingRun(
             config.seed, config.mode.value, population, (population.best_fitness,), degenerate
         )
@@ -602,27 +611,32 @@ def train(
     for gen in range(run.next_generation, config.generations + 1):
         if config.mode is not TrainingMode.FIXED_ALL:
             population = run.population
-            # Vary: strategy, perturbed genome and two children per candidate.
-            best = population.best
-            steps = []
+            # Vary: each stream draws its candidate's strategy, rate and donors and
+            # pauses; one pass perturbs every candidate; each stream resumes to recombine.
+            best, strategies, terms, paused = population.best_index, [], [], []
             for i, rng in enumerate(_streams(config.seed, gen, range(config.population_size))):
-                strategy = select_strategy(float(rng.random()), run.probabilities)
+                strategies.append(select_strategy(float(rng.random()), run.probabilities))
                 rate = sample_modulation_rate(rng)
-                delta = modulate(strategy, i, population, best, rate, rng)
-                steps.append((strategy, recombine(population.candidates[i], delta, rng)))
-            # Evaluate: every child, scored as soon as its pass returns.
-            scores = [[fitness_fn(child) for child in pair] for _, pair in steps]
+                terms.append(draw_terms(strategies[-1], i, population, best, rate, rng))
+                paused.append(rng.bit_generator.state)
+            pairs = []
+            for parent, delta, state in zip(population.candidates, modulate(population, terms), paused):
+                rng.bit_generator.state = state
+                pairs.append(recombine(parent, delta, rng))
+            # Evaluate: every child; one that is its candidate reuses the candidate's score.
+            scores = [[score(child) for child in pair] for pair in pairs]
             # Select: elitist adoption and each strategy's successes and failures.
             candidates = []
             fitness = np.empty(config.population_size)
             successes, failures = [0, 0, 0], [0, 0, 0]
-            for i, ((strategy, pair), scored) in enumerate(zip(steps, scores)):
+            for i, (strategy, pair, scored) in enumerate(zip(strategies, pairs, scores)):
                 genome, fitness[i], succeeded = select_survivor(
                     (population.candidates[i], float(population.fitness[i])),
                     [(child, fit) for child, (fit, _) in zip(pair, scored)],
                 )
                 candidates.append(genome)
                 (successes if succeeded else failures)[STRATEGIES.index(strategy)] += 1
+            known = {id(g): known[id(g)] for g in candidates if id(g) in known}
             probabilities = update_probabilities(successes, failures)
             run = replace(
                 run, population=Population(candidates, fitness),

@@ -96,11 +96,10 @@ HALF_PI = np.pi / 2.0
 _GENOME_MAGIC = b"QGNM"
 _GENOME_VERSION = 1
 
-# The most bytes each architecture cache (`_plan` here, `evolve._aligned`)
-# holds: together at most the phase bytes of the largest population
-# (evolve.MAX_POPULATION_PHASES), however many architectures a run meets.
-# A plan near the largest genome such a population allows (about 32 bytes a
-# phase) is larger; it is kept alone, as `forward_batch` asks for it per tile.
+# The most bytes `_plan`'s cache holds: the phase bytes of the largest
+# population (evolve.MAX_POPULATION_PHASES), however many architectures a run
+# meets. A plan near the largest genome such a population allows (about 32
+# bytes a phase) is larger; it is kept alone, as `forward_batch` asks for it per tile.
 CACHE_BYTES = 2**26
 
 
@@ -157,6 +156,18 @@ class Architecture:
             raise ValueError("input_width must be >= 1")
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
             raise ValueError("need at least one hidden layer, all widths >= 1")
+        object.__setattr__(self, "_hash", hash((self.input_width, self.hidden_widths)))
+
+    def __hash__(self) -> int:  # the fields' hash, made once: every cache lookup hashes its key
+        return self._hash
+
+    @classmethod
+    def _trusted(cls, input_width: int, hidden_widths: tuple[int, ...]) -> Architecture:
+        """Build from validated architectures' widths (ints) without re-checking them."""
+        arch = object.__new__(cls)
+        arch.__dict__.update(input_width=input_width, hidden_widths=hidden_widths,
+                             _hash=hash((input_width, hidden_widths)))
+        return arch
 
     @property
     def depth(self) -> int:

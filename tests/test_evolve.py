@@ -22,6 +22,7 @@ from qevo.evolve import (
     TrainingConfig,
     TrainingMode,
     convergence_monitor,
+    draw_terms,
     init_population,
     modulate,
     recombine,
@@ -117,17 +118,16 @@ def test_update_probabilities_simplex():
 
 def test_blockwise_difference_arithmetic():
     arch = Architecture(1, (1,))
-    base = const_genome(arch, 1.0)
-    donor_hi = const_genome(arch, 2.0)
-    donor_lo = const_genome(arch, 1.0)
-    out = evolve._combine_blockwise(base, [(0.5, donor_hi, donor_lo)])
-    assert np.allclose(out, 1.5)
+    pop = make_population([const_genome(arch, v) for v in (1.0, 2.0, 1.0)])
+    (out,) = modulate(pop, [(0, ((0.5, 1, 2),))])
+    assert np.allclose(out.phases, 1.5)
 
 
 def test_modulate_rand_one_uses_donor_base():
     arch = Architecture(1, (1,))
     pop = make_population([const_genome(arch, 1.0)] + [const_genome(arch, 2.0)] * 3)
-    delta = modulate(Strategy.RAND_ONE, 0, pop, pop.best, 0.7, np.random.default_rng(0))
+    terms = draw_terms(Strategy.RAND_ONE, 0, pop, pop.best_index, 0.7, np.random.default_rng(0))
+    (delta,) = modulate(pop, [terms])
     # all donors equal, so the difference term vanishes and the base is r1
     assert np.allclose(delta.phases, 2.0)
 
@@ -136,18 +136,19 @@ def test_modulate_current_to_best_fixed_point():
     arch = Architecture(2, (2,))
     g = random_genome(arch, np.random.default_rng(1))
     pop = make_population([g] * 5)
-    delta = modulate(Strategy.CURRENT_TO_BEST, 0, pop, pop.best, 0.9, np.random.default_rng(2))
+    terms = draw_terms(Strategy.CURRENT_TO_BEST, 0, pop, pop.best_index, 0.9, np.random.default_rng(2))
+    (delta,) = modulate(pop, [terms])
     assert delta == g
 
 
 def test_modulate_best_one_evaluation():
     arch = Architecture(1, (1,))
-    best = const_genome(arch, 5.0)
     pop = make_population(
         [const_genome(arch, 0.0), const_genome(arch, 3.0), const_genome(arch, 3.0),
-         const_genome(arch, 3.0)],
+         const_genome(arch, 3.0), const_genome(arch, 5.0)],
+        fitness=[1.0, 1.0, 1.0, 1.0, 0.5],
     )
-    delta = modulate(Strategy.BEST_ONE, 0, pop, best, 0.999999, np.random.default_rng(0))
+    (delta,) = modulate(pop, [(pop.best_index, ((0.999999, 1, 2),))])
     # donors are all equal, so delta collapses to the best vector
     assert np.allclose(delta.phases, 5.0)
 
@@ -158,26 +159,28 @@ def test_modulate_tiny_rate_returns_base_exactly():
     current = random_genome(arch, rng)
     donor = random_genome(arch, rng)
     best = random_genome(arch, rng)
-    pop = make_population([current] + [donor] * 5)
-    expected = {
-        Strategy.RAND_ONE: donor,
-        Strategy.CURRENT_TO_BEST: current,
-        Strategy.BEST_ONE: best,
-    }
+    pop = make_population([current] + [donor] * 4 + [best], fitness=[1.0] * 5 + [0.5])
     for strategy in STRATEGIES:
-        delta = modulate(strategy, 0, pop, best, 1e-300, np.random.default_rng(11))
-        assert delta == expected[strategy]
+        base, terms = draw_terms(strategy, 0, pop, pop.best_index, 1e-300, np.random.default_rng(11))
+        (delta,) = modulate(pop, [(base, terms)])
+        assert delta == pop.candidates[base]
+        if strategy is Strategy.RAND_ONE:
+            assert base != 0  # a donor
+        else:
+            assert base == (0 if strategy is Strategy.CURRENT_TO_BEST else 5)
 
 
 def test_modulate_cross_architecture_prefix_rule():
     # base has width 2; donors have widths 3 and 1, so every block overlaps
     # on exactly its first entry and the rest copies the base
-    base = const_genome(Architecture(1, (2,)), 0.0)
-    hi = const_genome(Architecture(1, (3,)), 1.0)
-    lo = const_genome(Architecture(1, (1,)), 3.0)
-    out = evolve._combine_blockwise(base, [(0.5, hi, lo)])
+    pop = make_population([
+        const_genome(Architecture(1, (2,)), 0.0),
+        const_genome(Architecture(1, (3,)), 1.0),
+        const_genome(Architecture(1, (1,)), 3.0),
+    ])
+    (out,) = modulate(pop, [(0, ((0.5, 1, 2),))])
     expected = np.array([-1, 0, -1, 0, -1, 0, -1, 0, -1], dtype=float)
-    assert np.array_equal(out, expected)
+    assert np.array_equal(out.phases, expected)
 
 
 def test_modulate_cross_architecture_keeps_base_structure():
@@ -191,7 +194,9 @@ def test_modulate_cross_architecture_keeps_base_structure():
         ]
     )
     for strategy in STRATEGIES:
-        delta = modulate(strategy, 0, pop, pop.best, 0.5, np.random.default_rng(3))
+        terms = draw_terms(strategy, 0, pop, pop.best_index, 0.5, np.random.default_rng(3))
+        (delta,) = modulate(pop, [terms])
+        assert delta.architecture == pop.candidates[terms[0]].architecture
         assert delta.phases.size == genome_length(delta.architecture)
 
 
@@ -199,7 +204,70 @@ def test_modulate_population_too_small():
     arch = Architecture(1, (1,))
     pop = make_population([const_genome(arch, v) for v in (0.0, 1.0, 2.0)])
     with pytest.raises(PopulationTooSmallError):
-        modulate(Strategy.RAND_ONE, 0, pop, pop.best, 0.5, np.random.default_rng(0))
+        draw_terms(Strategy.RAND_ONE, 0, pop, pop.best_index, 0.5, np.random.default_rng(0))
+
+
+def _modulate_reference(population, base, terms):
+    """One candidate's perturbed phases, entry by entry through index maps:
+    each block's entries at the same flat offset in the base and every donor."""
+    genomes = population.candidates
+    participants = [genomes[base]] + [genomes[j] for _, a, b in terms for j in (a, b)]
+    maps = []
+    for g in participants:
+        index = np.full(genome_length(genomes[base].architecture), -1)
+        theirs = network.transitions(g.architecture, np.arange(g.phases.size))
+        mine = network.transitions(genomes[base].architecture, index)
+        for w, v, dst, src in zip(genomes[base].architecture.widths, g.architecture.widths, mine, theirs):
+            for d, s in ((dst[:w], src[:v]), (dst[w:-1], src[v:-1]), (dst[-1:], src[-1:])):
+                d, s = d.reshape(-1), s.reshape(-1)
+                d[: min(d.size, s.size)] = s[: min(d.size, s.size)]
+        maps.append(index)
+    shared = np.flatnonzero(np.minimum.reduce(maps) >= 0)
+    out = genomes[base].phases.copy()
+    value = out[shared]
+    for k, (coeff, a, b) in enumerate(terms):
+        value += coeff * (genomes[a].phases[maps[1 + 2 * k][shared]] - genomes[b].phases[maps[2 + 2 * k][shared]])
+    out[shared] = value
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    input_width=st.integers(1, 12),
+    hidden=st.lists(st.lists(st.integers(1, 12), min_size=1, max_size=4), min_size=4, max_size=12),
+    strategies=st.lists(st.sampled_from(STRATEGIES), min_size=12, max_size=12),
+    rates=st.lists(
+        st.one_of(st.sampled_from([1e-300, 0.999999]), st.floats(1e-300, 0.999999)), min_size=12, max_size=12,
+    ),
+    scale=st.sampled_from([1.0, 1.0, 1e308]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_modulate_matches_per_candidate_reference(input_width, hidden, strategies, rates, scale, seed):
+    rng = np.random.default_rng(seed)
+    genomes = []
+    for h in hidden:
+        phases = scale * random_genome(Architecture(input_width, tuple(h)), rng).phases
+        signed = rng.random(phases.size)
+        phases[signed < 0.2] = -0.0
+        phases[signed > 0.9] = 0.0
+        genomes.append(NetworkGenome(Architecture(input_width, tuple(h)), phases))
+    pop = make_population(genomes, rng.random(len(genomes)))
+    terms = [
+        draw_terms(strategy, i, pop, pop.best_index, rate, rng)
+        for i, (strategy, rate) in enumerate(zip(strategies, rates[: len(genomes)]))
+    ]
+    # Phases near 1e308 overflow; both sides then end in a ValueError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [_modulate_reference(pop, base, ts) for base, ts in terms]
+        if not all(np.isfinite(e).all() for e in expected):
+            with pytest.raises(ValueError, match="finite"):
+                modulate(pop, terms)
+            return
+        deltas = modulate(pop, terms)
+    for delta, (base, _), phases in zip(deltas, terms, expected):
+        assert delta.architecture is pop.candidates[base].architecture
+        assert delta.phases.tobytes() == phases.tobytes()  # -0.0 included
+        assert np.array_equal(np.signbit(delta.phases), np.signbit(phases))
 
 
 # ------------------------------------------------------- recombination
@@ -263,6 +331,18 @@ def test_splice_pads_land_in_draw_order():
     assert outgoing[1:3, :2].tolist() == [[2.0, 2.0]] * 2
     primary_part = np.concatenate([first.ravel(), incoming[:, 0], outgoing[0], outgoing[3:].ravel(), output.ravel()])
     assert (primary_part == 1.0).all()
+
+
+def test_splice_without_transfer_returns_the_primary():
+    primary = random_genome(Architecture(2, (3, 4)), np.random.default_rng(0))
+    donor = random_genome(Architecture(2, (5, 2)), np.random.default_rng(1))
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    assert evolve._splice(primary, donor, 1, 3, 5, rng) is primary
+    assert evolve._splice(primary, donor, 2, 4, 2, rng) is primary
+    assert rng.random() == ref.random()
+    # The general path's empty pads would have drawn nothing either.
+    ref.uniform(-HALF_PI, HALF_PI, (0, 4))
+    assert rng.random() == ref.random()
 
 
 @settings(max_examples=150, deadline=None)
@@ -431,40 +511,70 @@ def _held_bytes(cached) -> int:
 
 def test_architecture_caches_stay_under_their_byte_bound(monkeypatch):
     # Hidden widths 20-80 at depth 1-3 give most children an architecture of
-    # their own: plans of 10-450 KB, alignment maps of 2-55 KB. Bounds of
-    # 512 and 64 KiB hold a few of each, so both caches evict throughout the
-    # run; the run must not notice.
-    bounds = {network._plan: 2**19, evolve._aligned: 2**16}
-    assert [c.cache.max_bytes for c in bounds] == [network.CACHE_BYTES] * 2
+    # their own: plans of 10-450 KB. A bound of 512 KiB holds a few, so the
+    # cache evicts throughout the run; the run must not notice.
+    cached, bound = network._plan, 2**19
+    assert cached.cache.max_bytes == network.CACHE_BYTES
     data = tiny_dataset(points=60)
     config = tiny_config(hidden_range=(20, 80), depth_range=(1, 3), generations=3)
     reference = train(config, data)
-    for cached, bound in bounds.items():
-        monkeypatch.setattr(cached.cache, "max_bytes", bound)
-        cached.cache.entries.clear()  # emptying a cache changes no result
-        cached.cache.nbytes = 0
-    held, architectures, pairs = [], set(), set()
-    forward, aligned = network.forward_states, evolve._aligned
+    monkeypatch.setattr(cached.cache, "max_bytes", bound)
+    cached.cache.entries.clear()  # emptying a cache changes no result
+    cached.cache.nbytes = 0
+    held, architectures = [], set()
+    forward = network.forward_states
 
     def recording_forward(genome, states, diag=None):
         out = forward(genome, states, diag)
         architectures.add(genome.architecture)
-        held.append([_held_bytes(c) for c in bounds])
+        held.append(_held_bytes(cached))
         return out
 
-    def recording_aligned(base, other):
-        pairs.add((base, other))
-        return aligned(base, other)
-
     monkeypatch.setattr(network, "forward_states", recording_forward)
-    monkeypatch.setattr(evolve, "_aligned", recording_aligned)
     best, run = train(config, data)
     assert best == reference[0] and run.to_dict() == reference[1].to_dict()
-    assert all(max(column) <= bound for column, bound in zip(zip(*held), bounds.values()))
-    assert [_held_bytes(c) for c in bounds] == [c.cache.nbytes for c in bounds]
-    # What the run asked for is far more than the bounds let the caches keep.
-    assert sum(network._plan(arch).nbytes for arch in architectures) > 4 * bounds[network._plan]
-    assert sum(4 * genome_length(base) for base, _ in pairs) > 4 * bounds[aligned]
+    assert max(held) <= bound
+    assert _held_bytes(cached) == cached.cache.nbytes
+    # What the run asked for is far more than the bound lets the cache keep.
+    assert sum(network._plan(arch).nbytes for arch in architectures) > 4 * bound
+
+
+def test_train_scores_a_child_that_is_its_parent_once(monkeypatch):
+    # Each pass adds one degenerate argument, so the run's count shows
+    # whether a reused score carries its parent's count.
+    forward, passes, kept = network.forward_states, [], []
+
+    def counting_forward(genome, states, diag=None):
+        passes.append(genome)
+        diag.degenerate_args += 1
+        return forward(genome, states, diag)
+
+    def counting_recombine(parent1, parent2, rng):
+        children = recombine(parent1, parent2, rng)
+        kept.append(children[0] is parent1)
+        return children
+
+    monkeypatch.setattr(network, "forward_states", counting_forward)
+    monkeypatch.setattr(evolve, "recombine", counting_recombine)
+    cfg = tiny_config(hidden_range=(1, 2), generations=6)
+    _, run = train(cfg, tiny_dataset())
+    p, g, k = cfg.population_size, cfg.generations, sum(kept)
+    assert len(kept) == p * g and k > 0
+    assert len(passes) == p + 2 * p * g - k
+    assert run.degenerate_args == p + 2 * p * g
+
+
+def test_train_calls_variation_through_the_module_attributes(monkeypatch):
+    # perfbench's tracer times variation by swapping these attributes.
+    calls = {"modulate": 0, "recombine": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(evolve, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(evolve, name, counted)
+    cfg = tiny_config()
+    train(cfg, tiny_dataset())
+    assert calls == {"modulate": cfg.generations, "recombine": cfg.population_size * cfg.generations}
 
 
 def test_train_zero_generations():

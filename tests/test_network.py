@@ -33,6 +33,25 @@ def zeros_genome(arch):
     return NetworkGenome(arch, np.zeros(genome_length(arch)))
 
 
+# ---------------------------------------------------------------- architecture
+
+@pytest.mark.parametrize("input_width, hidden", [(0, (2,)), (2, ()), (2, (3, 0)), (2, (-1,))])
+def test_architecture_rejects_bad_widths(input_width, hidden):
+    with pytest.raises(ValueError):
+        Architecture(input_width, hidden)
+
+
+def test_architecture_equality_and_hash_follow_the_widths():
+    arch = Architecture(3, [np.int64(4), 2])
+    assert arch.hidden_widths == (4, 2) and type(arch.hidden_widths[0]) is int
+    trusted = Architecture._trusted(3, (4, 2))
+    for same in (Architecture(3, (4, 2)), trusted):
+        assert same == arch and hash(same) == hash(arch) == hash((3, (4, 2)))
+    assert {arch: 1}[trusted] == 1
+    assert arch != Architecture(3, (4,)) and arch != Architecture(4, (4, 2)) and arch != (3, (4, 2))
+    assert repr(trusted) == "Architecture(input_width=3, hidden_widths=(4, 2))"
+
+
 # ---------------------------------------------------------------- layout
 
 def test_layout_hand_counts():
