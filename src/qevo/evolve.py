@@ -83,7 +83,8 @@ class Population:
 
 # The most phases a population may hold (128 MiB). A run's peak is a few times
 # that: the parents, their perturbed genomes and children, the forward pass's
-# blocks, and up to network.CACHE_BYTES of cached forward plans.
+# blocks, and the cached forward plans: up to 64 MiB of plans of genomes of
+# at most 2**13 phases, and one larger plan (network._plan).
 MAX_POPULATION_PHASES = 2**24
 
 

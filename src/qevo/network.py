@@ -58,16 +58,22 @@ contiguous memory:
   per call broke acceptance criterion 12 (below): on a 2-core x86 host its
   ratio read 2.33-2.91 over 6 runs, 4 above 2.6, against 1.70-2.21 reused.
 
-`forward_batch` runs `input_states` and `forward_states` over row tiles and
-writes each tile's predictions into one output array. A tile holds
-(2**19 - 1) // (largest M*K) rows, M*K being the entries of a transition's
-matrix, so every product makes fewer than 2**19 multiply-adds. OpenBLAS
-splits a larger product over its threads, and how it splits it sets the
-rounding; on a 2-core x86 host, OpenBLAS 0.3.31 kept products up to about
-0.9M multiply-adds on one thread. So a forecast's bytes do not depend on
-the BLAS thread count, and no second thread spins beside the one doing the
-work. A 10-8-8-1 network gets 1560-row tiles, whose input block and
-workspace (about 0.7 MB) fit in a 2 MB L2 cache.
+`_matrices` reads the genome's angles through index tables that depend on
+its architecture only, its plan (`_plan`). Plans stay in two LRU caches:
+256 plans of genomes of at most 2**13 phases, and one larger plan. A plan
+takes at most 32 bytes a phase, so the small plans hold at most 64 MiB
+however many architectures a run meets.
+
+`forward_batch` makes the genome's matrices once, runs `input_states` and
+`forward_states` over row tiles and writes each tile's predictions into one
+output array. A tile holds (2**19 - 1) // (largest M*K) rows, M*K being the
+entries of a transition's matrix, so every product makes fewer than 2**19
+multiply-adds. OpenBLAS splits a larger product over its threads, and how it
+splits it sets the rounding; on a 2-core x86 host, OpenBLAS 0.3.31 kept
+products up to about 0.9M multiply-adds on one thread. So a forecast's bytes
+do not depend on the BLAS thread count, and no second thread spins beside
+the one doing the work. A 10-8-8-1 network gets 1560-row tiles, whose input
+block and workspace (about 0.7 MB) fit in a 2 MB L2 cache.
 
 Training calls `forward_states` directly, untiled, on its whole training
 set. With window 10 and widths up to 10 a tile holds at least 1248 rows, so
@@ -82,7 +88,6 @@ from __future__ import annotations
 import functools
 import struct
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -95,52 +100,6 @@ HALF_PI = np.pi / 2.0
 
 _GENOME_MAGIC = b"QGNM"
 _GENOME_VERSION = 1
-
-# The most bytes `_plan`'s cache holds: the phase bytes of the largest
-# population (evolve.MAX_POPULATION_PHASES), however many architectures a run
-# meets. A plan near the largest genome such a population allows (about 32
-# bytes a phase) is larger; it is kept alone, as `forward_batch` asks for it per tile.
-CACHE_BYTES = 2**26
-
-
-class ByteBoundedCache:
-    """Decorator: a least-recently-used memo of a function of hashable
-    arguments whose results have `nbytes`. The kept results' `nbytes` sum to
-    at most `max_bytes`, unless the newest result alone is larger: then it is
-    the only one kept. Every caller gets the same result object, so results
-    must be read-only."""
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.entries: OrderedDict = OrderedDict()
-        self.nbytes = 0
-        self._lock = threading.Lock()
-
-    def __call__(self, fn):
-        entries = self.entries
-
-        @functools.wraps(fn)
-        def cached(*key):
-            value = entries.get(key)
-            if value is not None:
-                # A hit takes no lock: each OrderedDict call is atomic, and an
-                # entry another thread evicts in between is still a valid result.
-                try:
-                    entries.move_to_end(key)
-                except KeyError:
-                    pass
-                return value
-            value = fn(*key)
-            with self._lock:
-                if key not in entries:
-                    entries[key] = value
-                    self.nbytes += value.nbytes
-                    while self.nbytes > self.max_bytes and len(entries) > 1:
-                        self.nbytes -= entries.popitem(last=False)[1].nbytes
-            return value
-
-        cached.cache = self
-        return cached
 
 
 @dataclass(frozen=True)
@@ -320,18 +279,13 @@ class _Plan(NamedTuple):
     output_gate: int
     tile_rows: int
 
-    @property
-    def nbytes(self) -> int:
-        return sum(t.nbytes for t in (self.rev, self.fold_dst, self.fold_src, self.gather))
-
 
 # The most multiply-adds one product of `forward_batch` makes; see the
 # module docstring.
 _TILE_MULTIPLY_ADDS = 2**19 - 1
 
 
-@ByteBoundedCache(CACHE_BYTES)
-def _plan(arch: Architecture) -> _Plan:
+def _build_plan(arch: Architecture) -> _Plan:
     n = genome_length(arch)
     # Entries index the 4n-entry angle table, so int32 holds them while
     # 4n < 2**31; the fold tables are widened to intp for `_matrices`.
@@ -361,6 +315,22 @@ def _plan(arch: Architecture) -> _Plan:
     tile_rows = max(1, _TILE_MULTIPLY_ADDS // max(stop - start for start, stop, _ in matrices))
     # The output gate is the output's reversal, the genome's last entry.
     return _Plan(*tables, tuple(matrices), n - 1, tile_rows)
+
+
+# A plan's tables take at most 32 bytes a phase: a weight behind a hidden
+# layer has 4 int32 gather entries and 2 intp fold entries. So the small
+# cache holds at most 256 * 2**13 * 32 B = 64 MiB, the phase bytes of the
+# largest population (evolve.MAX_POPULATION_PHASES). A larger plan is kept
+# alone, as `forward_batch` asks for it per tile. Callers share each plan,
+# so its tables are read-only.
+_SMALL_PLAN_PHASES = 2**13
+_small_plan = functools.lru_cache(maxsize=256)(_build_plan)
+_large_plan = functools.lru_cache(maxsize=1)(_build_plan)
+
+
+def _plan(arch: Architecture) -> _Plan:
+    """`_build_plan(arch)`, from the cache for its genome's size."""
+    return (_small_plan if genome_length(arch) <= _SMALL_PLAN_PHASES else _large_plan)(arch)
 
 
 def _matrices(plan: _Plan, phases: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -438,7 +408,8 @@ def forward_states(
         )
     rows = states.shape[0]
     plan = _plan(arch)
-    flat, gate_cos, gate_sin = _matrices(plan, genome.phases)
+    made = getattr(_workspace, "matrices", None)
+    flat, gate_cos, gate_sin = made[1] if made and made[0] is genome else _matrices(plan, genome.phases)
     a, b = _workspace_blocks(2 * max(arch.hidden_widths) + 1, rows)
     block = states.T
     for start, stop, w in plan.matrices:
@@ -478,16 +449,22 @@ def forward_batch(
     The rows pass through `input_states` and `forward_states` in tiles of
     `_plan(...).tile_rows`, whose products are too small for OpenBLAS to
     split over threads, so the predictions do not depend on its thread count.
+    The genome's matrices are made once, and every tile's `forward_states`
+    call reads them from this thread's workspace.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise DimensionMismatchError(f"expected 2-d input matrix, got shape {rows.shape}")
-    tile = _plan(genome.architecture).tile_rows
+    plan = _plan(genome.architecture)
     preds = np.empty(rows.shape[0])
-    # At least one pass, so zero rows of the wrong width still raise.
-    for start in range(0, max(rows.shape[0], 1), tile):
-        stop = start + tile
-        preds[start:stop] = forward_states(genome, input_states(rows[start:stop]), diag)
+    _workspace.matrices = (genome, _matrices(plan, genome.phases))
+    try:
+        # At least one pass, so zero rows of the wrong width still raise.
+        for start in range(0, max(rows.shape[0], 1), plan.tile_rows):
+            stop = start + plan.tile_rows
+            preds[start:stop] = forward_states(genome, input_states(rows[start:stop]), diag)
+    finally:
+        _workspace.matrices = None
     return preds
 
 

@@ -151,7 +151,8 @@ def _read_rows(reader, t_idx: int, v_idx: int) -> tuple[array, array]:
     data row index."""
     # Plain float64 buffers: no Python object per row outlives its row.
     times, values = array("d"), array("d")
-    needed = max(t_idx, v_idx) + 1
+    # Index i needs i + 1 columns; a negative index -k needs k.
+    needed = max(i + 1 if i >= 0 else -i for i in (t_idx, v_idx))
     add_time, add_value = times.append, values.append
     row_index = 0
     try:

@@ -503,40 +503,22 @@ def test_train_deterministic():
     assert report1.to_dict() == report2.to_dict()
 
 
-def _held_bytes(cached) -> int:
-    """The bytes of the tables a cache holds, summed from the tables themselves."""
-    values = cached.cache.entries.values()
-    return sum(t.nbytes for v in values for t in (v if isinstance(v, tuple) else (v,)) if isinstance(t, np.ndarray))
-
-
-def test_architecture_caches_stay_under_their_byte_bound(monkeypatch):
+def test_architecture_caches_stay_under_their_byte_bound():
+    # 256 plans of at most 2**13 phases and 32 bytes a phase
+    # (test_plan_tables_take_at_most_32_bytes_a_phase), and one larger plan.
+    assert network._small_plan.cache_info().maxsize * network._SMALL_PLAN_PHASES * 32 <= 2**26
+    assert network._large_plan.cache_info().maxsize == 1
     # Hidden widths 20-80 at depth 1-3 give most children an architecture of
-    # their own: plans of 10-450 KB. A bound of 512 KiB holds a few, so the
-    # cache evicts throughout the run; the run must not notice.
-    cached, bound = network._plan, 2**19
-    assert cached.cache.max_bytes == network.CACHE_BYTES
+    # their own; at seed 4 some genomes are past the cutoff, so the one-plan
+    # cache evicts during the run. Emptying both caches changes no result.
     data = tiny_dataset(points=60)
-    config = tiny_config(hidden_range=(20, 80), depth_range=(1, 3), generations=3)
+    config = tiny_config(hidden_range=(20, 80), depth_range=(1, 3), generations=3, seed=4)
     reference = train(config, data)
-    monkeypatch.setattr(cached.cache, "max_bytes", bound)
-    cached.cache.entries.clear()  # emptying a cache changes no result
-    cached.cache.nbytes = 0
-    held, architectures = [], set()
-    forward = network.forward_states
-
-    def recording_forward(genome, states, diag=None):
-        out = forward(genome, states, diag)
-        architectures.add(genome.architecture)
-        held.append(_held_bytes(cached))
-        return out
-
-    monkeypatch.setattr(network, "forward_states", recording_forward)
+    network._small_plan.cache_clear()
+    network._large_plan.cache_clear()
     best, run = train(config, data)
     assert best == reference[0] and run.to_dict() == reference[1].to_dict()
-    assert max(held) <= bound
-    assert _held_bytes(cached) == cached.cache.nbytes
-    # What the run asked for is far more than the bound lets the cache keep.
-    assert sum(network._plan(arch).nbytes for arch in architectures) > 4 * bound
+    assert network._small_plan.cache_info().currsize > 0 and network._large_plan.cache_info().misses > 1
 
 
 def test_train_scores_a_child_that_is_its_parent_once(monkeypatch):

@@ -455,24 +455,6 @@ def _record_tile_rows(monkeypatch):
     return rows
 
 
-def test_byte_bounded_cache_evicts_least_recently_used_first():
-    calls = []
-
-    @network.ByteBoundedCache(max_bytes=100)
-    def block(n):
-        calls.append(n)
-        return np.zeros(n, dtype=np.uint8)
-
-    a, b = block(40), block(50)
-    assert block(40) is a  # a hit, and now the most recently used
-    block(30)  # 120 bytes: b, the least recently used, goes
-    assert list(block.cache.entries) == [(40,), (30,)] and block.cache.nbytes == 70
-    big = block(101)  # larger than the bound: kept alone
-    assert list(block.cache.entries) == [(101,)] and block(101) is big
-    assert block(50) is not b and list(block.cache.entries) == [(50,)]
-    assert calls == [40, 50, 30, 101, 50]
-
-
 def test_tiles_keep_every_product_under_the_bound():
     rng = np.random.default_rng(15)
     for _ in range(200):
@@ -483,17 +465,49 @@ def test_tiles_keep_every_product_under_the_bound():
     assert network._plan(Architecture(10, (8, 8))).tile_rows == 1560
 
 
+def _table_bytes(plan):
+    return sum(t.nbytes for t in (plan.rev, plan.fold_dst, plan.fold_src, plan.gather))
+
+
 def test_plan_build_peak_stays_near_its_tables():
     arch = Architecture(10, (300, 300))
     tracemalloc.start()
     try:
-        plan = network._plan.__wrapped__(arch)  # built afresh, not read from the cache
+        plan = network._build_plan(arch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert plan.gather.dtype == np.int32
     assert all(t.dtype == np.intp for t in (plan.rev, plan.fold_dst, plan.fold_src))
-    assert peak < 2.5 * plan.nbytes
+    assert peak < 2.5 * _table_bytes(plan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    input_width=st.integers(1, 40),
+    hidden=st.one_of(
+        st.lists(st.just(1), min_size=1, max_size=5),  # width-1 chains
+        st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    ),
+)
+def test_plan_tables_take_at_most_32_bytes_a_phase(input_width, hidden):
+    # What bounds the small-plan cache: 256 plans of at most 2**13 phases
+    # each hold at most 256 * 2**13 * 32 B = 64 MiB.
+    arch = Architecture(input_width, tuple(hidden))
+    assert _table_bytes(network._build_plan(arch)) <= 32 * genome_length(arch)
+
+
+def test_plan_caches_split_at_2_to_the_13_phases():
+    small, large = Architecture(10, (83, 83)), Architecture(10, (84, 84))
+    assert genome_length(small) <= 2**13 < genome_length(large)
+    network._small_plan.cache_clear()
+    network._large_plan.cache_clear()
+    sizes = []
+    for arch in (small, large, small):
+        network._plan(arch)
+        sizes.append((network._small_plan.cache_info().currsize, network._large_plan.cache_info().currsize))
+    assert sizes == [(1, 0), (1, 1), (1, 1)]
+    assert network._plan(large) is network._large_plan(large)
 
 
 TILED = Architecture(12, (20, 6))
@@ -515,6 +529,25 @@ def test_forward_batch_stitches_its_tiles(count, monkeypatch):
     for i in {0, TILE - 2, TILE - 1, TILE, count - 1} & set(range(count)):
         expected, bound = _oracle_bound(genome, rows[i])
         assert abs(preds[i] - expected) <= bound
+
+
+def test_forward_batch_makes_the_matrices_once_for_all_its_tiles(monkeypatch):
+    rng = np.random.default_rng(18)
+    genome = random_genome(TILED, rng)
+    rows = rng.random((5 * TILE // 2, TILED.input_width))
+    made, inner = [], network._matrices
+
+    def recording(plan, phases):
+        made.append(phases)
+        return inner(plan, phases)
+
+    monkeypatch.setattr(network, "_matrices", recording)
+    tiles = _record_tile_rows(monkeypatch)
+    forward_batch(genome, rows)
+    assert len(tiles) == 3 and len(made) == 1
+    # The call's matrices go with it: a later pass makes its own.
+    forward_states(genome, input_states(rows[:4]))
+    assert len(made) == 2
 
 
 def test_forward_batch_counts_each_zero_sum_once_across_tiles():

@@ -46,6 +46,10 @@ def test_parse_malformed_row_names_index(tmp_path):
         parse_trace(path, TraceFormat(timestamp_col="t", value_col="v"))
     assert excinfo.value.row_index == 1
     assert "row 1" in str(excinfo.value)
+    # A negative index -k needs k columns.
+    path.write_text("0,2\n60,4\n")
+    with pytest.raises(MalformedRowError, match="row 1: expected >= 5 columns, got 2"):
+        parse_trace(path, TraceFormat(timestamp_col=0, value_col=-5, header=False))
 
 
 def test_parse_missing_file(tmp_path):
