@@ -14,7 +14,7 @@ are the weights (row i, column j connects source i to destination j); a
 hidden destination adds a bias row; the last row holds the destinations'
 reversal parameters. The output transition has no bias row. `genome_length`
 and `transitions` state this layout, and every other module reads it through
-them; `NetworkGenome.transitions` keeps a genome's views once made.
+them.
 
 `forward_states` evaluates the same map without per-row trigonometry. With
 the gate phase g = exp(i*(pi/2)*sigmoid(rho)), the next state is
@@ -64,23 +64,29 @@ its architecture only, its plan (`_plan`). Plans stay in two LRU caches:
 takes at most 32 bytes a phase, so the small plans hold at most 64 MiB
 however many architectures a run meets.
 
-`forward_batch` makes the genome's matrices once, runs `input_states` and
-`forward_states` over row tiles and writes each tile's predictions into one
-output array. A tile holds (2**19 - 1) // (largest M*K) rows, M*K being the
-entries of a transition's matrix, so every product makes fewer than 2**19
-multiply-adds. OpenBLAS splits a larger product over its threads, and how it
-splits it sets the rounding; on a 2-core x86 host, OpenBLAS 0.3.31 kept
-products up to about 0.9M multiply-adds on one thread. So a forecast's bytes
-do not depend on the BLAS thread count, and no second thread spins beside
-the one doing the work. A 10-8-8-1 network gets 1560-row tiles, whose input
-block and workspace (about 0.7 MB) fit in a 2 MB L2 cache.
+`forward_batch` makes the genome's matrices once (a `_Stack` of one), runs
+`input_states` and `forward_states` over row tiles and writes each tile's
+predictions into one output array. A tile holds (2**19 - 1) // (largest
+M*K) rows, M*K being the entries of a transition's matrix, so every product
+makes fewer than 2**19 multiply-adds. OpenBLAS splits a larger product over
+its threads, and how it splits it sets the rounding; on a 2-core x86 host,
+OpenBLAS 0.3.31 kept products up to about 0.9M multiply-adds on one thread.
+So a forecast's bytes do not depend on the BLAS thread count, and no second
+thread spins beside the one doing the work. A 10-8-8-1 network gets
+1560-row tiles, whose input block and workspace (about 0.7 MB) fit in a 2 MB
+L2 cache.
 
-Training calls `forward_states` directly, untiled, on its whole training
-set. With window 10 and widths up to 10 a tile holds at least 1248 rows, so
-a desk-scale training set (1194 rows) is one tile anyway. Larger ones stay
-untiled because tiling them on a prototype broke acceptance criterion 12:
-the ratio of training wall time at 6020 windows to that at 3010 fell to
-1.47-1.93 over 6 runs, 3 of them under the 1.6 floor (1.77-1.91 untiled).
+Training scores its genomes through `forward_grouped`, untiled: by
+architecture, in chunks whose stacked tables stay under `_CHUNK_BYTES`, each
+chunk's matrices made by one `_matrices` call and its workspace views once.
+Each genome still runs its own products: a (K, 2w, 1194) stack of them
+leaves the L2 cache, and at K = 8, w = 8 took 105 us a genome against 79 us
+one at a time on a 2-core x86 host. With window 10 and widths up to 10 a
+tile holds at least 1248 rows, so a desk-scale training set (1194 rows) is
+one tile anyway. Larger ones stay untiled because tiling them on a
+prototype broke acceptance criterion 12: the ratio of training wall time at
+6020 windows to that at 3010 fell to 1.47-1.93 over 6 runs, 3 of them under
+the 1.6 floor (1.77-1.91 untiled).
 """
 
 from __future__ import annotations
@@ -188,12 +194,6 @@ class NetworkGenome:
             self.phases, other.phases
         )
 
-    @functools.cached_property
-    def transitions(self) -> list[np.ndarray]:
-        """`transitions(self.architecture, self.phases)`, made once: read-only
-        views, as the phases are."""
-        return transitions(self.architecture, self.phases)
-
     @classmethod
     def _trusted(cls, architecture: Architecture, phases: np.ndarray) -> NetworkGenome:
         """Wrap a new, finite, C-contiguous float64 vector of `genome_length`
@@ -288,33 +288,44 @@ _TILE_MULTIPLY_ADDS = 2**19 - 1
 def _build_plan(arch: Architecture) -> _Plan:
     n = genome_length(arch)
     # Entries index the 4n-entry angle table, so int32 holds them while
-    # 4n < 2**31; the fold tables are widened to intp for `_matrices`.
+    # 4n < 2**31; the fold tables are intp for `_matrices`. Each table is
+    # filled in place, so the build holds little beside the tables.
     mats = transitions(arch, np.arange(n, dtype=np.int32))
     in_widths = arch.widths[:-1]
     cos, neg_cos, neg_sin = 0, 2 * n, 3 * n
-    rev = [m[-1] for m in mats]
-    dst = [m[:w_in].ravel() for w_in, m in zip(in_widths[1:], mats[1:])]
-    src = [np.repeat(r, m.shape[1]) for r, m in zip(rev, mats[1:])]
-    gather, matrices, start = [], [], 0
-    for w_in, m in zip(in_widths, mats):
+    # Where a matrix's [P^T, P^T] and b columns read the table, top rows
+    # then bottom: [Re P^T, -Im P^T, Re b] over [-Im P^T, -Re P^T, -Im b].
+    weight_at = np.array([[cos, neg_sin], [neg_sin, neg_cos]], np.int32)[:, None, :, None]
+    bias_at = np.array([cos, neg_sin], np.int32)[:, None, None]
+    rev = np.concatenate([m[-1] for m in mats], dtype=np.intp)
+    fold_dst = np.empty(sum(w_in * m.shape[1] for w_in, m in zip(in_widths[1:], mats[1:])), np.intp)
+    fold_src = np.empty_like(fold_dst)
+    # A matrix is 2*w_out rows of 2*w_in columns, and a bias one unless it feeds the output.
+    gather = np.empty(sum(2 * m.shape[1] * (m.shape[0] + w_in - 1) for w_in, m in zip(in_widths, mats)), np.int32)
+    matrices, start, folded = [], 0, 0
+    for t, (w_in, m) in enumerate(zip(in_widths, mats)):
         # P^T[j, i] is the weight from source i to destination j; the bias
         # column is empty for the output transition.
         wt, bias = m[:w_in].T, m[w_in:-1].T
-        top = [cos + wt, neg_sin + wt, cos + bias]
-        bottom = [neg_sin + wt, neg_cos + wt, neg_sin + bias]
-        # The [top; bottom] matrix, row-major: the top rows, then the bottom.
-        halves = [np.concatenate(row, axis=1).ravel() for row in (top, bottom)]
-        gather += halves
-        matrices.append((start, start + 2 * halves[0].size, m.shape[1]))
-        start += 2 * halves[0].size
-    tables = (*(np.concatenate(t, dtype=np.intp) for t in (rev, dst, src)), np.concatenate(gather))
-    for table in tables:
+        stop = start + 2 * m.shape[1] * (2 * w_in + bias.shape[1])
+        matrix = gather[start:stop].reshape(2, m.shape[1], -1)
+        np.add(wt[None, :, None], weight_at, out=matrix[:, :, : 2 * w_in].reshape(2, -1, 2, w_in))
+        np.add(bias, bias_at, out=matrix[:, :, 2 * w_in :])
+        matrices.append((start, stop, m.shape[1]))
+        start = stop
+        if t:
+            # Each weight leaving a hidden neuron absorbs that neuron's gate.
+            dst = fold_dst[folded : folded + m[:w_in].size].reshape(w_in, -1)
+            np.copyto(dst, m[:w_in])
+            np.copyto(fold_src[folded : folded + dst.size].reshape(dst.shape), mats[t - 1][-1][:, None])
+            folded += dst.size
+    for table in (rev, fold_dst, fold_src, gather):
         table.setflags(write=False)
     # A matrix holds M*K = stop - start entries, so a tile's largest product
     # makes M*K*tile_rows multiply-adds.
     tile_rows = max(1, _TILE_MULTIPLY_ADDS // max(stop - start for start, stop, _ in matrices))
     # The output gate is the output's reversal, the genome's last entry.
-    return _Plan(*tables, tuple(matrices), n - 1, tile_rows)
+    return _Plan(rev, fold_dst, fold_src, gather, tuple(matrices), n - 1, tile_rows)
 
 
 # A plan's tables take at most 32 bytes a phase: a weight behind a hidden
@@ -333,28 +344,33 @@ def _plan(arch: Architecture) -> _Plan:
     return (_small_plan if genome_length(arch) <= _SMALL_PLAN_PHASES else _large_plan)(arch)
 
 
-def _matrices(plan: _Plan, phases: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Every transition's stacked real matrix, flat and in order, and the cos
-    and sin of the output gate angle.
+def _matrices(plan: _Plan, phases: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row per phase vector of `phases` (all of `plan`'s architecture):
+    its transitions' stacked real matrices, flat and in order; and the cos
+    and sin of each output gate angle.
 
     A reversal entry's angle becomes its gate angle (pi/2)*sigmoid(rho), and
     each weight leaving a hidden neuron adds that neuron's gate angle. One
-    cos and one sin of these angles are the genome's only transcendentals.
+    cos and one sin of these angles are a genome's only transcendentals.
     For a transition with folded phasors P (w_in, w_out) and bias phasors b,
     the matrix is [[Re P^T, -Im P^T, Re b], [-Im P^T, -Re P^T, -Im b]]; the
     output transition has no bias column.
     """
-    angles = phases.copy()
-    gates = sigmoid(angles[plan.rev])
+    angles = np.concatenate(phases).reshape(len(phases), -1)
+    # A lone genome's angles are indexed as a vector: 2-D fancy indexing
+    # costs a few microseconds more a call, and 25 % more on a large genome.
+    view, lead = (angles[0], ()) if len(phases) == 1 else (angles, (slice(None),))
+    gates = sigmoid(view[(*lead, plan.rev)])
     gates *= HALF_PI
-    angles[plan.rev] = gates
-    angles[plan.fold_dst] += angles[plan.fold_src]
-    n = angles.size
-    table = np.empty(4 * n)
-    np.cos(angles, out=table[:n])
-    np.sin(angles, out=table[n : 2 * n])
-    np.negative(table[: 2 * n], out=table[2 * n :])
-    return table.take(plan.gather), table[plan.output_gate], table[n + plan.output_gate]
+    view[(*lead, plan.rev)] = gates
+    view[(*lead, plan.fold_dst)] += view[(*lead, plan.fold_src)]
+    n = angles.shape[1]
+    table = np.empty((len(angles), 4 * n))
+    np.cos(angles, out=table[:, :n])
+    np.sin(angles, out=table[:, n : 2 * n])
+    np.negative(table[:, : 2 * n], out=table[:, 2 * n :])
+    gate = plan.output_gate  # the gates are copied, so no stack holds the table
+    return table.take(plan.gather, axis=1), table[:, gate].copy(), table[:, n + gate].copy()
 
 
 _workspace = threading.local()
@@ -364,14 +380,35 @@ _workspace = threading.local()
 _TINY = np.finfo(float).tiny
 
 
-def _workspace_blocks(height: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two (height, rows) float64 blocks over this thread's buffers."""
-    size = height * rows
-    buffers = getattr(_workspace, "buffers", None)
-    if buffers is None or buffers[0].size < size:
-        buffers = (np.empty(size), np.empty(size))
-        _workspace.buffers = buffers
-    return buffers[0][:size].reshape(height, rows), buffers[1][:size].reshape(height, rows)
+class _Stack:
+    """Genomes of one architecture: `matrices[t][k]` is genome k's matrix of
+    transition t, all made by one `_matrices` call. `steps(rows)` are the
+    views of this thread's workspace that their passes write, made once per
+    row count, so a stack serves the thread that uses it."""
+
+    def __init__(self, plan: _Plan, phases: list[np.ndarray]):
+        flat, self.gate_cos, self.gate_sin = _matrices(plan, phases)
+        self.matrices = [flat[:, start:stop].reshape(len(phases), 2 * w, -1) for start, stop, w in plan.matrices]
+        self._rows = -1
+
+    def steps(self, rows: int) -> list[tuple]:
+        """Per transition: its product's block, the squares' block, their top
+        and bottom halves, the product's (2, w, rows) planes and, but for the
+        output, the next input block and its -1 row. Products alternate
+        between the two buffers."""
+        if rows != self._rows:
+            height = max(m.shape[1] for m in self.matrices[:-1]) + 1
+            buffers = getattr(_workspace, "buffers", None)
+            if buffers is None or buffers[0].size < height * rows:
+                buffers = _workspace.buffers = (np.empty(height * rows), np.empty(height * rows))
+            a, b = (buffer[: height * rows].reshape(height, rows) for buffer in buffers)
+            self._rows, self._steps = rows, []
+            for t, m in enumerate(self.matrices):
+                out, squares = (a, b) if t % 2 == 0 else (b, a)
+                u, square, w = out[: m.shape[1]], squares[: m.shape[1]], m.shape[1] // 2
+                below = (out[: self.matrices[t + 1].shape[2]], out[2 * w]) if t + 1 < len(self.matrices) else None
+                self._steps.append((u, square, square[:w], square[w:], u.reshape(2, w, rows), below))
+        return self._steps
 
 
 def _normalize_exactly(planes: np.ndarray, mag: np.ndarray, diag: ForwardDiagnostics | None) -> None:
@@ -394,11 +431,14 @@ def forward_states(
     genome: NetworkGenome,
     states: np.ndarray,
     diag: ForwardDiagnostics | None = None,
+    stack: tuple[_Stack, int] | None = None,
 ) -> np.ndarray:
     """Run the network over `input_states` output; one prediction per row.
 
     `states` is only read, so one input-state array can serve every genome.
     The predictions are a new array that shares no memory with the workspace.
+    `stack`, a pair (`_Stack`, k), holds the genome's matrices as the stack's
+    k-th genome; without it the call makes its own.
     """
     arch = genome.architecture
     if states.ndim != 2 or states.shape[1] != 2 * arch.input_width + 1:
@@ -406,37 +446,54 @@ def forward_states(
             f"states of shape {states.shape} do not fit input width {arch.input_width}:"
             " input_states gives cos and sin planes and a -1 column"
         )
-    rows = states.shape[0]
-    plan = _plan(arch)
-    made = getattr(_workspace, "matrices", None)
-    flat, gate_cos, gate_sin = made[1] if made and made[0] is genome else _matrices(plan, genome.phases)
-    a, b = _workspace_blocks(2 * max(arch.hidden_widths) + 1, rows)
+    made, k = (_Stack(_plan(arch), [genome.phases]), 0) if stack is None else stack
     block = states.T
-    for start, stop, w in plan.matrices:
-        matrix = flat[start:stop].reshape(2 * w, -1)
+    for matrices, (u, square, top, bottom, planes, below) in zip(made.matrices, made.steps(states.shape[0])):
         # [Re U; -Im U], the planes of conj(U). The output matrix has no bias
-        # column, so it skips the -1 row.
-        u = np.matmul(matrix, block[: matrix.shape[1]], out=a[: 2 * w])
-        # The product has consumed `block`, so b is free for |U|^2.
-        square = np.square(u, out=b[: 2 * w])
-        mag = np.add(square[:w], square[w:], out=square[:w])
-        last = stop == flat.size  # the output transition, always the last
+        # column, so its input block stops before the -1 row.
+        np.matmul(matrices[k], block, out=u)
+        # The product has consumed `block`, so its buffer is free for |U|^2.
+        np.square(u, out=square)
+        mag = np.add(top, bottom, out=top)
         if np.minimum.reduce(mag, axis=None, initial=np.inf) < _TINY:
-            _normalize_exactly(u.reshape(2, w, rows), mag, diag)
-        elif not last:
-            planes = u.reshape(2, w, rows)
+            _normalize_exactly(planes, mag, diag)
+        elif below is not None:
             planes *= np.reciprocal(np.sqrt(mag, out=mag), out=mag)
-        if last:
-            break
-        block = a[: 2 * w + 1]
-        block[2 * w] = -1.0
-        a, b = b, a
+        if below is not None:
+            block, minus_one = below
+            minus_one.fill(-1.0)
     # Im(g * conj(U))^2 / |U|^2, g being the output gate phase.
-    im = gate_sin * u[0]
-    im += gate_cos * u[1]
+    im = made.gate_sin[k] * u[0]
+    im += made.gate_cos[k] * u[1]
     im *= im
     im /= mag[0]
     return im
+
+
+# The most bytes one chunk of `forward_grouped` stacks: its genomes' angles,
+# [cos | sin | -cos | -sin] tables and matrices, 8 * (5n + entries) a genome.
+_CHUNK_BYTES = 2**20
+
+
+def forward_grouped(genomes: list[NetworkGenome], states: np.ndarray):
+    """Yield (i, predictions, degenerate args) of every genome over `states`:
+    by architecture in first-seen order, in chunks of up to `_CHUNK_BYTES`
+    of stacked tables (at least one genome), each chunk's matrices made in
+    one `_Stack`. Each genome's `forward_states` call is bit-equal to one
+    without the stack."""
+    groups = {}
+    for i, genome in enumerate(genomes):
+        groups.setdefault(genome.architecture, []).append(i)
+    for arch, members in groups.items():
+        plan = _plan(arch)
+        size = max(1, _CHUNK_BYTES // (8 * (5 * (plan.output_gate + 1) + plan.gather.size)))
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            made = _Stack(plan, [genomes[i].phases for i in chunk])
+            for k, i in enumerate(chunk):
+                diag = ForwardDiagnostics()
+                yield i, forward_states(genomes[i], states, diag, (made, k)), diag.degenerate_args
+            del made  # before the next chunk's matrices are made
 
 
 def forward_batch(
@@ -449,22 +506,19 @@ def forward_batch(
     The rows pass through `input_states` and `forward_states` in tiles of
     `_plan(...).tile_rows`, whose products are too small for OpenBLAS to
     split over threads, so the predictions do not depend on its thread count.
-    The genome's matrices are made once, and every tile's `forward_states`
-    call reads them from this thread's workspace.
+    The genome's matrices are made once, in a `_Stack` every tile's
+    `forward_states` call is given.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise DimensionMismatchError(f"expected 2-d input matrix, got shape {rows.shape}")
     plan = _plan(genome.architecture)
     preds = np.empty(rows.shape[0])
-    _workspace.matrices = (genome, _matrices(plan, genome.phases))
-    try:
-        # At least one pass, so zero rows of the wrong width still raise.
-        for start in range(0, max(rows.shape[0], 1), plan.tile_rows):
-            stop = start + plan.tile_rows
-            preds[start:stop] = forward_states(genome, input_states(rows[start:stop]), diag)
-    finally:
-        _workspace.matrices = None
+    stack = _Stack(plan, [genome.phases]), 0
+    # At least one pass, so zero rows of the wrong width still raise.
+    for start in range(0, max(rows.shape[0], 1), plan.tile_rows):
+        stop = start + plan.tile_rows
+        preds[start:stop] = forward_states(genome, input_states(rows[start:stop]), diag, stack)
     return preds
 
 

@@ -22,6 +22,7 @@ from qevo.evolve import (
     TrainingConfig,
     TrainingMode,
     convergence_monitor,
+    draw_crossing,
     draw_terms,
     init_population,
     modulate,
@@ -272,12 +273,30 @@ def test_modulate_matches_per_candidate_reference(input_width, hidden, strategie
 
 # ------------------------------------------------------- recombination
 
+def recombine_pair(p1, p2, rng):
+    """One candidate's children, its crossing drawn as the trainer draws it."""
+    ((c1, c2),) = recombine([p1], [p2], [draw_crossing(p1.architecture, p2.architecture, rng)])
+    return c1, c2
+
+
+def splice_pair(p1, p2, level, cuts, rng):
+    """The children of a crossing at `level` and `cuts`, its pads drawn as
+    draw_crossing draws them: each moved neuron's missing weights from
+    sources, then to destinations, child by child."""
+    count = 0
+    for (a, b), cut in zip(((p1, p2), (p2, p1)), cuts[::-1]):
+        x, y = a.architecture.widths, b.architecture.widths
+        count += (y[level] - cut) * (max(x[level - 1] - y[level - 1], 0) + max(x[level + 1] - y[level + 1], 0))
+    ((c1, c2),) = recombine([p1], [p2], [(level, cuts, rng.uniform(-HALF_PI, HALF_PI, count))])
+    return c1, c2
+
+
 def test_recombine_identical_parents_identity():
     rng = np.random.default_rng(0)
     for seed in range(10):
         arch = Architecture(4, tuple(np.random.default_rng(seed).integers(1, 6, 2)))
         g = random_genome(arch, rng)
-        c1, c2 = recombine(g, g, np.random.default_rng(seed))
+        c1, c2 = recombine_pair(g, g, np.random.default_rng(seed))
         assert c1 == g and c2 == g
 
 
@@ -285,8 +304,7 @@ def test_recombine_hand_widths():
     p1 = const_genome(Architecture(2, (2,)), 1.0)
     p2 = const_genome(Architecture(2, (3,)), 2.0)
     # Both cuts after the second neuron at level 1: keep = donor_cut = 2
-    rng = np.random.default_rng(0)
-    c1, c2 = evolve._splice(p1, p2, 1, 2, 2, rng), evolve._splice(p2, p1, 1, 2, 2, rng)
+    c1, c2 = splice_pair(p1, p2, 1, (2, 2), np.random.default_rng(0))
     assert c1.architecture.hidden_widths == (3,)  # 2 + (3 - 2)
     assert c2.architecture.hidden_widths == (2,)  # 2 + (2 - 2)
     assert c1.phases.size == genome_length(c1.architecture)
@@ -297,9 +315,9 @@ def test_recombine_moves_whole_bundles():
     p1 = const_genome(Architecture(2, (3,)), 1.0)
     p2 = const_genome(Architecture(2, (3,)), 2.0)
     # keep = donor_cut = 2 at level 1: two bundles from p1, the third from p2
-    c1 = evolve._splice(p1, p2, 1, 2, 2, np.random.default_rng(0))
+    c1, _ = splice_pair(p1, p2, 1, (2, 2), np.random.default_rng(0))
     assert c1.architecture.hidden_widths == (3,)
-    hidden, output = c1.transitions
+    hidden, output = network.transitions(c1.architecture, c1.phases)
     assert np.array_equal(hidden[:2, :2], np.ones((2, 2)))
     assert np.array_equal(hidden[:2, 2], np.full(2, 2.0))
     assert hidden[2].tolist() == [1.0, 1.0, 2.0]  # bias
@@ -312,15 +330,16 @@ def test_recombine_moves_whole_bundles():
 def test_splice_pads_land_in_draw_order():
     # Level 2 of a (4, 2, 4) primary takes two donor bundles whose source
     # layer (2) and next layer (2) are both narrower than the primary's (4).
+    # The donor's child keeps its width-3 level and truncates, drawing nothing.
     primary = const_genome(Architecture(2, (4, 2, 4)), 1.0)
     donor = const_genome(Architecture(2, (2, 3, 2)), 2.0)
     rng = np.random.default_rng(5)
-    child = evolve._splice(primary, donor, 2, 1, 1, rng)
+    child, _ = splice_pair(primary, donor, 2, (1, 1), rng)
     assert child.architecture.hidden_widths == (4, 3, 4)
     ref = np.random.default_rng(5)
     draws = ref.uniform(-HALF_PI, HALF_PI, 8)
     assert rng.bit_generator.state == ref.bit_generator.state
-    first, incoming, outgoing, output = child.transitions
+    first, incoming, outgoing, output = network.transitions(child.architecture, child.phases)
     # Incoming: each donor neuron's weights from sources 2 and 3, neuron
     # after neuron; outgoing: each donor neuron's weights to destinations 2
     # and 3, neuron after neuron.
@@ -337,8 +356,10 @@ def test_splice_without_transfer_returns_the_primary():
     primary = random_genome(Architecture(2, (3, 4)), np.random.default_rng(0))
     donor = random_genome(Architecture(2, (5, 2)), np.random.default_rng(1))
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-    assert evolve._splice(primary, donor, 1, 3, 5, rng) is primary
-    assert evolve._splice(primary, donor, 2, 4, 2, rng) is primary
+    # Each child keeps all its primary's bundles and takes none.
+    for level, cuts in ((1, (3, 5)), (2, (4, 2))):
+        c1, c2 = splice_pair(primary, donor, level, cuts, rng)
+        assert c1 is primary and c2 is donor
     assert rng.random() == ref.random()
     # The general path's empty pads would have drawn nothing either.
     ref.uniform(-HALF_PI, HALF_PI, (0, 4))
@@ -362,10 +383,7 @@ def test_spliced_children_equal_validated_genomes(input_width, hidden, scale, dr
     )
     level = draw.draw(st.integers(1, min(len(h) for h in hidden)))
     cut1, cut2 = (draw.draw(st.integers(1, h[level - 1])) for h in hidden)
-    for child in (
-        evolve._splice(p1, p2, level, cut1, cut2, rng),
-        evolve._splice(p2, p1, level, cut2, cut1, rng),
-    ):
+    for child in splice_pair(p1, p2, level, (cut1, cut2), rng):
         assert child.phases.shape == (genome_length(child.architecture),)
         assert child.phases.dtype == np.float64 and child.phases.flags.c_contiguous
         assert not child.phases.flags.writeable
@@ -378,7 +396,7 @@ def test_recombine_pads_transferred_vectors():
     p1 = random_genome(Architecture(3, (2, 4)), rng)  # donor columns come from width-2 layer
     p2 = random_genome(Architecture(3, (6, 1)), rng)
     for seed in range(20):
-        c1, c2 = recombine(p1, p2, np.random.default_rng(seed))
+        c1, c2 = recombine_pair(p1, p2, np.random.default_rng(seed))
         for child in (c1, c2):
             assert child.phases.size == genome_length(child.architecture)
             assert np.isfinite(child.phases).all()
@@ -390,12 +408,102 @@ def test_recombine_width_bounds():
     p1 = random_genome(Architecture(2, (5,)), rng)
     p2 = random_genome(Architecture(2, (9,)), rng)
     for seed in range(50):
-        c1, c2 = recombine(p1, p2, np.random.default_rng(seed))
+        c1, c2 = recombine_pair(p1, p2, np.random.default_rng(seed))
         for child in (c1, c2):
             assert 1 <= child.architecture.hidden_widths[0] <= 5 + 9
     # children keep their primary parent's depth
     assert c1.architecture.depth == p1.architecture.depth
     assert c2.architecture.depth == p2.architecture.depth
+
+
+def _fit_reference(rows, length, rng):
+    short = length - rows.shape[1]
+    if short <= 0:
+        return rows[:, :length]
+    return np.concatenate((rows, rng.uniform(-HALF_PI, HALF_PI, (rows.shape[0], short))), axis=1)
+
+
+def _splice_reference(primary, donor, level, keep, donor_cut, rng):
+    """One child, built matrix by matrix and drawing its pads as it goes."""
+    p_width, d_width = primary.architecture.hidden_widths[level - 1], donor.architecture.hidden_widths[level - 1]
+    if keep == p_width and donor_cut == d_width:
+        return primary
+    hidden = list(primary.architecture.hidden_widths)
+    hidden[level - 1] = keep + d_width - donor_cut
+    arch = Architecture(primary.architecture.input_width, tuple(hidden))
+    p_in, p_out = network.transitions(primary.architecture, primary.phases)[level - 1 : level + 1]
+    d_in, d_out = network.transitions(donor.architecture, donor.phases)[level - 1 : level + 1]
+    n = len(p_in) - 2
+    incoming = np.empty((n + 2, hidden[level - 1]))
+    incoming[:, :keep] = p_in[:, :keep]
+    incoming[:n, keep:] = _fit_reference(d_in[:-2, donor_cut:].T, n, rng).T
+    incoming[n:, keep:] = d_in[-2:, donor_cut:]
+    outgoing = np.concatenate((p_out[:keep], _fit_reference(d_out[donor_cut:d_width], p_out.shape[1], rng)))
+    phases = np.empty(genome_length(arch))
+    mats = network.transitions(arch, phases)
+    for t, m in enumerate(mats):
+        if t == level - 1:
+            m[...] = incoming
+        elif t == level:
+            m[: len(outgoing)] = outgoing
+            m[len(outgoing) :] = p_out[p_width:]
+        else:
+            m[...] = network.transitions(primary.architecture, primary.phases)[t]
+    return NetworkGenome(arch, phases)
+
+
+def _recombine_reference(parent1, parent2, rng):
+    level = int(rng.integers(1, min(parent1.architecture.depth, parent2.architecture.depth) + 1))
+    u = rng.random()
+    c1 = int(u * parent1.architecture.hidden_widths[level - 1]) + 1
+    c2 = int(u * parent2.architecture.hidden_widths[level - 1]) + 1
+    return _splice_reference(parent1, parent2, level, c1, c2, rng), _splice_reference(parent2, parent1, level, c2, c1, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    input_width=st.integers(1, 8),
+    hidden=st.lists(st.lists(st.integers(1, 10), min_size=1, max_size=4), min_size=2, max_size=16),
+    same=st.lists(st.booleans(), min_size=8, max_size=8),
+    batch=st.sampled_from([1, 40, 200, evolve._RECOMBINE_PHASES]),
+    entries=st.sampled_from([0, 8, evolve._RECTANGLE_ENTRIES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recombine_matches_per_child_reference(input_width, hidden, same, batch, entries, seed):
+    # Parents and partners of every depth and width (a partner of the
+    # parent's own architecture, as the trainer's, in about half the
+    # candidates), phases with -0.0 and 0.0, passes of a few candidates, and
+    # rectangles copied entry by entry or as strided views.
+    rng = np.random.default_rng(seed)
+
+    def genome(widths):
+        phases = random_genome(Architecture(input_width, tuple(widths)), rng).phases.copy()
+        signed = rng.random(phases.size)
+        phases[signed < 0.2] = -0.0
+        phases[signed > 0.9] = 0.0
+        return NetworkGenome(Architecture(input_width, tuple(widths)), phases)
+
+    half = len(hidden) // 2
+    parents = [genome(h) for h in hidden[:half]]
+    partners = [genome(p.architecture.hidden_widths if s else h) for p, h, s in zip(parents, hidden[half:], same)]
+    crossings, expected = [], []
+    for i, (parent, partner) in enumerate(zip(parents, partners)):
+        stream, ref = np.random.default_rng([seed, i]), np.random.default_rng([seed, i])
+        crossings.append(draw_crossing(parent.architecture, partner.architecture, stream))
+        expected.append(_recombine_reference(parent, partner, ref))
+        assert stream.bit_generator.state == ref.bit_generator.state
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolve, "_RECOMBINE_PHASES", batch)
+        patch.setattr(evolve, "_RECTANGLE_ENTRIES", entries)
+        pairs = recombine(parents, partners, crossings)
+    assert len(pairs) == len(parents)
+    for pair, reference, parent, partner in zip(pairs, expected, parents, partners):
+        for child, ref, primary in zip(pair, reference, (parent, partner)):
+            assert (child is primary) == (ref is primary)
+            assert child.architecture == ref.architecture
+            assert child.phases.tobytes() == ref.phases.tobytes()  # -0.0 included
+            assert np.array_equal(np.signbit(child.phases), np.signbit(ref.phases))
+            assert not child.phases.flags.writeable
 
 
 # ------------------------------------------------------- survivor selection
@@ -460,10 +568,72 @@ def test_streams_reject_indices_of_two_words():
 
 # ------------------------------------------------------- population / training
 
+def _scored_bits(results):
+    return [(np.float64(fit).tobytes(), degenerate) for fit, degenerate in results]
+
+
+def _planted(arch, rng):
+    """A genome of input width 1 whose hidden neuron 0 sums a 0 input to
+    exactly 0: its bias phase equals its weight phase."""
+    phases = random_genome(arch, rng).phases.copy()
+    weight, bias, _ = network.transitions(arch, phases)[0]
+    bias[0] = weight[0]
+    return NetworkGenome(arch, phases)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    input_width=st.sampled_from([1, 1, 2, 5]),
+    hidden=st.lists(st.lists(st.integers(1, 8), min_size=1, max_size=3), min_size=1, max_size=4),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=24),
+    budget=st.sampled_from([1, 2**12, 2**14, network._CHUNK_BYTES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dataset_scores_match_per_genome_calls(input_width, hidden, picks, budget, seed):
+    # Genomes of a few architectures in any order, chunks split by small
+    # budgets, and (at input width 1) zero-sum members beside fast-path ones.
+    rng = np.random.default_rng(seed)
+    rows = rng.random((int(rng.integers(1, 200)), input_width))
+    rows[rng.random(len(rows)) < 0.2] = 0.0
+    fitness = DatasetFitness(dataset.WindowedDataset(input_width, rows, rng.random(len(rows))))
+    archs = [Architecture(input_width, tuple(h)) for h in hidden]
+    genomes = [
+        _planted(archs[a % len(archs)], rng) if planted and input_width == 1 else random_genome(archs[a % len(archs)], rng)
+        for a, planted in picks
+    ]
+    expected = [fitness(g) for g in genomes]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_CHUNK_BYTES", budget)
+        assert _scored_bits(fitness.scores(genomes)) == _scored_bits(expected)
+
+
+def test_dataset_scores_a_zero_sum_member_beside_fast_path_members(monkeypatch):
+    arch = Architecture(1, (4, 3))
+    rng = np.random.default_rng(20)
+    rows = rng.random((50, 1))
+    rows[[3, 17, 40]] = 0.0
+    fitness = DatasetFitness(dataset.WindowedDataset(1, rows, rng.random(50)))
+    genomes = [random_genome(arch, rng), random_genome(arch, rng), _planted(arch, rng), random_genome(arch, rng)]
+    exact, inner = [], network._normalize_exactly
+
+    def recording(planes, mag, diag):
+        exact.append(mag.shape)
+        inner(planes, mag, diag)
+
+    stacks, inner_matrices = [], network._matrices
+    monkeypatch.setattr(network, "_normalize_exactly", recording)
+    monkeypatch.setattr(network, "_matrices", lambda plan, phases: stacks.append(len(phases)) or inner_matrices(plan, phases))
+    scores = fitness.scores(genomes)
+    assert stacks == [len(genomes)]  # one chunk
+    assert exact == [(4, 50)]  # the planted member's hidden layer only
+    assert [deg for _, deg in scores] == [0, 0, 3, 0]
+    assert _scored_bits(scores) == _scored_bits([fitness(g) for g in genomes])
+
+
 def test_init_population_size_and_ranges():
     cfg = tiny_config(population_size=12)
     fitness_fn = DatasetFitness(tiny_dataset())
-    pop, _ = init_population(cfg, fitness_fn)
+    pop, _ = init_population(cfg, fitness_fn.scores)
     assert len(pop.candidates) == 12
     for g in pop.candidates:
         assert 1 <= g.architecture.depth <= 2
@@ -475,8 +645,8 @@ def test_init_population_size_and_ranges():
 def test_init_population_deterministic():
     cfg = tiny_config()
     fitness_fn = DatasetFitness(tiny_dataset())
-    pop1, _ = init_population(cfg, fitness_fn)
-    pop2, _ = init_population(cfg, fitness_fn)
+    pop1, _ = init_population(cfg, fitness_fn.scores)
+    pop2, _ = init_population(cfg, fitness_fn.scores)
     assert all(a == b for a, b in zip(pop1.candidates, pop2.candidates))
     assert np.array_equal(pop1.fitness, pop2.fitness)
 
@@ -526,15 +696,15 @@ def test_train_scores_a_child_that_is_its_parent_once(monkeypatch):
     # whether a reused score carries its parent's count.
     forward, passes, kept = network.forward_states, [], []
 
-    def counting_forward(genome, states, diag=None):
+    def counting_forward(genome, states, diag=None, stack=None):
         passes.append(genome)
         diag.degenerate_args += 1
-        return forward(genome, states, diag)
+        return forward(genome, states, diag, stack)
 
-    def counting_recombine(parent1, parent2, rng):
-        children = recombine(parent1, parent2, rng)
-        kept.append(children[0] is parent1)
-        return children
+    def counting_recombine(parents, partners, crossings):
+        pairs = recombine(parents, partners, crossings)
+        kept.extend(children[0] is parent for children, parent in zip(pairs, parents))
+        return pairs
 
     monkeypatch.setattr(network, "forward_states", counting_forward)
     monkeypatch.setattr(evolve, "recombine", counting_recombine)
@@ -556,7 +726,8 @@ def test_train_calls_variation_through_the_module_attributes(monkeypatch):
         monkeypatch.setattr(evolve, name, counted)
     cfg = tiny_config()
     train(cfg, tiny_dataset())
-    assert calls == {"modulate": cfg.generations, "recombine": cfg.population_size * cfg.generations}
+    # One call of each per generation.
+    assert calls == {"modulate": cfg.generations, "recombine": cfg.generations}
 
 
 def test_train_zero_generations():

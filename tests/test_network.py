@@ -112,7 +112,7 @@ def test_random_genome_deterministic():
 def test_random_genome_block_ranges():
     arch = Architecture(2, (2000,))
     g = random_genome(arch, np.random.default_rng(0))
-    for m in g.transitions:
+    for m in transitions(arch, g.phases):
         assert not m.flags.writeable
         angles, rev = m[:-1], m[-1]  # weights and bias, then reversals
         assert angles.min() >= -math.pi / 2 and angles.max() <= math.pi / 2
@@ -447,9 +447,9 @@ def _record_tile_rows(monkeypatch):
     """Make every forward_states call append its row count to the list returned."""
     rows, inner = [], network.forward_states
 
-    def recording(genome, states, diag=None):
+    def recording(genome, states, diag=None, stack=None):
         rows.append(states.shape[0])
-        return inner(genome, states, diag)
+        return inner(genome, states, diag, stack)
 
     monkeypatch.setattr(network, "forward_states", recording)
     return rows
@@ -479,7 +479,7 @@ def test_plan_build_peak_stays_near_its_tables():
         tracemalloc.stop()
     assert plan.gather.dtype == np.int32
     assert all(t.dtype == np.intp for t in (plan.rev, plan.fold_dst, plan.fold_src))
-    assert peak < 2.5 * _table_bytes(plan)
+    assert peak < 1.25 * _table_bytes(plan)
 
 
 @settings(max_examples=200, deadline=None)
@@ -548,6 +548,39 @@ def test_forward_batch_makes_the_matrices_once_for_all_its_tiles(monkeypatch):
     # The call's matrices go with it: a later pass makes its own.
     forward_states(genome, input_states(rows[:4]))
     assert len(made) == 2
+
+
+def test_grouped_chunks_stay_within_the_byte_budget(monkeypatch):
+    # Chunks stack each genome's angles, 4n-entry table and gathered
+    # matrices; a genome whose own tables pass the budget is a chunk alone.
+    stacks, inner = [], network._matrices
+
+    def recording(plan, phases):
+        made = inner(plan, phases)
+        stacks.append((len(phases), 8 * (made[0].size + 5 * len(phases) * (plan.output_gate + 1))))
+        return made
+
+    monkeypatch.setattr(network, "_matrices", recording)
+    monkeypatch.setattr(network, "_CHUNK_BYTES", 2**16)
+    rng = np.random.default_rng(19)
+    small, mid, large = (Architecture(4, h) for h in ((2,), (6, 5), (40, 40)))
+    archs = [small] * 30 + [mid] * 9 + [large] * 3 + [small] * 5
+    genomes = [random_genome(archs[i], rng) for i in rng.permutation(len(archs))]
+    states = input_states(rng.random((30, 4)))
+    order = [i for i, _, _ in network.forward_grouped(genomes, states)]
+    assert sorted(order) == list(range(len(genomes)))
+    seen = list(dict.fromkeys(g.architecture for g in genomes))
+    assert [genomes[i].architecture for i in order] == sorted(archs, key=seen.index)
+    assert all(count == 1 or size <= network._CHUNK_BYTES for count, size in stacks)
+    assert max(count for count, _ in stacks) > 1
+    assert sum(count for count, _ in stacks) == len(genomes)
+    assert sum(size > network._CHUNK_BYTES for _, size in stacks) == 3  # the large genomes, alone
+    # Every chunk holds as many genomes as the budget allows.
+    def chunks(arch):
+        fits = max(1, network._CHUNK_BYTES // (8 * (5 * genome_length(arch) + network._plan(arch).gather.size)))
+        return -(-archs.count(arch) // fits)
+
+    assert len(stacks) == sum(chunks(a) for a in (small, mid, large))
 
 
 def test_forward_batch_counts_each_zero_sum_once_across_tiles():
