@@ -10,11 +10,10 @@ the selection probabilities for the next.
 
 A generation runs in three phases: vary every candidate, evaluate every
 child, then select every survivor. Its outcome is one frozen `TrainingRun`.
-Varying is a draw pass (`draw_terms`, `draw_crossing`), then one array pass
-building every perturbed genome (`modulate`) and one every child
-(`recombine`). Evaluating is one `DatasetFitness.scores` call, by
-architecture group. A child that is its candidate is not re-scored: it
-reuses its (fitness, degenerate args).
+Varying is a draw pass (`draw_terms`, `draw_crossing`), one array pass
+building every perturbed genome (`modulate`), then `recombine` per candidate.
+Evaluating is one `DatasetFitness.scores` call, by architecture group. A
+child that is its candidate reuses its (fitness, degenerate args).
 
 Determinism: every random draw for candidate i in generation g comes from a
 stream seeded by (seed, g, i), so a candidate's step depends on nothing but
@@ -35,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import network
 from .dataset import WindowedDataset
@@ -364,8 +362,8 @@ def modulate(population: Population, terms: list[Terms]) -> list[NetworkGenome]:
 
 
 # A candidate's recombination draws: hidden level, cuts c = floor(u*p) + 1 in
-# the candidate and its perturbed genome, and both children's pads.
-Crossing = tuple[int, tuple[int, int], np.ndarray]
+# the candidate and its perturbed genome, and each child's pads.
+Crossing = tuple[int, tuple[int, int], tuple[np.ndarray, np.ndarray]]
 
 
 def draw_crossing(first: Architecture, second: Architecture, rng: np.random.Generator) -> Crossing:
@@ -376,108 +374,86 @@ def draw_crossing(first: Architecture, second: Architecture, rng: np.random.Gene
     u = rng.random()
     cuts = (int(u * first.hidden_widths[level - 1]) + 1, int(u * second.hidden_widths[level - 1]) + 1)
     p, d = first.widths, second.widths
-    pads = sum((y[level] - cut) * (max(x[level - 1] - y[level - 1], 0) + max(x[level + 1] - y[level + 1], 0))
-               for x, y, cut in ((p, d, cuts[1]), (d, p, cuts[0])))
-    return level, cuts, rng.uniform(-HALF_PI, HALF_PI, pads)
+    counts = [(y[level] - cut) * (max(x[level - 1] - y[level - 1], 0) + max(x[level + 1] - y[level + 1], 0))
+              for x, y, cut in ((p, d, cuts[1]), (d, p, cuts[0]))]
+    pads = rng.uniform(-HALF_PI, HALF_PI, sum(counts))
+    return level, cuts, (pads[: counts[0]], pads[counts[0] :])
 
 
-# The most parent phases one array pass of `recombine` reads (at least one
-# candidate's), and the most entries of a rectangle it copies by index; a
-# larger one is copied as a strided view. So wide genomes' index arrays stay small.
-_RECOMBINE_PHASES = 2**18
-_RECTANGLE_ENTRIES = 2**10
+def _fit(rows: np.ndarray, length: int, pads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`rows` truncated, or padded row after row from the front of `pads`, to
+    `length` columns; and the pads left."""
+    short = length - rows.shape[1]
+    if short <= 0:
+        return rows[:, :length], pads
+    used = rows.shape[0] * short
+    return np.concatenate((rows, pads[:used].reshape(-1, short)), axis=1), pads[used:]
+
+
+def _splice(
+    primary: NetworkGenome,
+    donor: NetworkGenome,
+    level: int,
+    keep: int,
+    donor_cut: int,
+    pads: np.ndarray,
+) -> NetworkGenome:
+    """Child keeping `primary`'s depth, with hidden layer `level` rebuilt from
+    primary bundles [1..keep] followed by donor bundles [donor_cut+1..].
+    Transferred rows are truncated, or padded from `pads`, to the child's
+    adjacent-layer widths, the incoming transition's pad first. A child that
+    keeps every primary bundle and takes none is `primary` itself."""
+    p_arch, d_arch = primary.architecture, donor.architecture
+    p_width, d_width = p_arch.hidden_widths[level - 1], d_arch.hidden_widths[level - 1]
+    if keep == p_width and donor_cut == d_width:
+        return primary
+    hidden = list(p_arch.hidden_widths)
+    hidden[level - 1] = keep + d_width - donor_cut
+    p_in, p_out = primary.transitions[level - 1 : level + 1]
+    d_in, d_out = donor.transitions[level - 1 : level + 1]
+
+    # Incoming transition: columns are the level's neurons. A kept neuron
+    # takes the primary's whole column; a donor neuron takes the donor's
+    # weights, fitted to the child's source width, then its bias and reversal.
+    n = len(p_in) - 2
+    incoming = np.empty((n + 2, hidden[level - 1]))
+    incoming[:, :keep] = p_in[:, :keep]
+    weights, pads = _fit(d_in[:-2, donor_cut:].T, n, pads)
+    incoming[:n, keep:] = weights.T
+    incoming[n:, keep:] = d_in[-2:, donor_cut:]
+    # Outgoing weights: rows are the level's neurons.
+    outgoing = np.concatenate((p_out[:keep], _fit(d_out[donor_cut:d_width], p_out.shape[1], pads)[0]))
+
+    # Everything before the incoming transition, and everything after the
+    # outgoing weights (that transition's bias and reversal rows onward), is
+    # the primary's.
+    head = sum(m.size for m in primary.transitions[: level - 1])
+    tail = head + p_in.size + p_in.shape[1] * p_out.shape[1]  # a weight row per level neuron
+    phases = np.concatenate(
+        (primary.phases[:head], incoming.ravel(), outgoing.ravel(), primary.phases[tail:])
+    )
+    # Every width and entry is a validated parent's or a finite draw, in the
+    # layout's order, so the child skips re-validation.
+    arch = p_arch if hidden[level - 1] == p_width else Architecture._trusted(p_arch.input_width, tuple(hidden))
+    return NetworkGenome._trusted(arch, phases)
 
 
 def recombine(
-    parents: list[NetworkGenome],
-    partners: list[NetworkGenome],
-    crossings: list[Crossing],
-) -> list[tuple[NetworkGenome, NetworkGenome]]:
-    """Swap whole-neuron bundles at one hidden level shared by each parent
-    and its partner: one (parent's child, partner's child) pair a candidate.
-    A child keeps its primary's depth and, at the crossing's level, the
-    primary's bundles [1..c] followed by the other's past its cut; moved
-    weights are truncated, or padded from the pads, to the child's widths. A
-    child that keeps every bundle and takes none is its primary itself."""
-    pairs, start, phases = [], 0, 0
-    for i, (parent, partner) in enumerate(zip(parents, partners)):
-        phases += parent.phases.size + partner.phases.size
-        if phases >= _RECOMBINE_PHASES or i == len(parents) - 1:
-            pairs += _splice(parents[start : i + 1], partners[start : i + 1], crossings[start : i + 1])
-            start, phases = i + 1, 0
-    return pairs
+    parent1: NetworkGenome,
+    parent2: NetworkGenome,
+    crossing: Crossing,
+) -> tuple[NetworkGenome, NetworkGenome]:
+    """Swap whole-neuron bundles at the crossing's shared hidden level.
 
-
-def _splice(parents, partners, crossings) -> list[tuple[NetworkGenome, NetworkGenome]]:
-    """`recombine` in one array pass: each child is nine rectangles copied
-    from its parents' phases and its pads."""
-    n = len(parents)
-    genomes = [*parents, *partners]
-    archs = {id(g.architecture): g.architecture for g in genomes}  # layer widths, 0 past the output
-    depth = max(a.depth for a in archs.values())
-    padded = {key: a.widths + (0,) * (depth + 1 - a.depth) for key, a in archs.items()}
-    widths = np.array([padded[id(g.architecture)] for g in genomes])
-    # A transition's entries: a row per source, a bias row unless it feeds the output, a reversal row.
-    sizes = (widths[:, :-2] + 1 + (widths[:, 2:] > 0)) * widths[:, 1:-1]
-    starts = np.cumsum(sizes, axis=1) - sizes
-    lengths = sizes.sum(axis=1)
-    base = np.cumsum(lengths) - lengths  # where each genome starts in `source`
-    # Child 2i keeps parent i's bundles and takes partner i's; child 2i + 1 the reverse.
-    prim = np.stack((np.arange(n), np.arange(n, 2 * n)), axis=1).ravel()
-    don = (prim + n) % (2 * n)
-    drawn = np.array([(level, *cuts) for level, cuts, _ in crossings])
-    level, keep, cut = np.repeat(drawn[:, 0], 2), drawn[:, 1:].ravel(), drawn[:, :0:-1].ravel()
-    src, own, nxt = (widths[prim, level + d] for d in (-1, 0, 1))
-    d_src, d_own, d_nxt = (widths[don, level + d] for d in (-1, 0, 1))
-    moved = d_own - cut
-    width = keep + moved
-    short_in, short_out = np.maximum(src - d_src, 0), np.maximum(nxt - d_nxt, 0)
-    pads = moved * (short_in + short_out)
-    pad_at = lengths.sum() + np.cumsum(pads) - pads
-    size = lengths[prim] + (src + 2 + nxt) * (width - own)
-    at = np.cumsum(size) - size  # where each child starts in `out`
-    # Where the incoming transition (src + 2 rows) and the outgoing weights
-    # (a row per level neuron) start in the primary, the donor and the child.
-    head = starts[prim, level - 1]
-    in_p, in_d, in_c = base[prim] + head, base[don] + starts[don, level - 1], at + head
-    out_p, out_d, out_c = in_p + (src + 2) * own, in_d + (d_src + 2) * d_own, in_c + (src + 2) * width
-    tail = head + (src + 2 + nxt) * own
-    one, zero = np.ones_like(level), np.zeros_like(level)
-    # (rows, columns, source start, source row step, source column step,
-    # destination start, destination row step); a child's rows are contiguous.
-    rectangles = np.array([
-        (one, head, base[prim], zero, one, at, zero),  # the transitions before the level
-        (src + 2, keep, in_p, own, one, in_c, width),  # kept neurons' incoming columns
-        (np.minimum(src, d_src), moved, in_d + cut, d_own, one, in_c + keep, width),  # moved neurons' weights
-        (short_in, moved, pad_at, one, short_in, in_c + d_src * width + keep, width),  # their pads, by neuron
-        (2 * one, moved, in_d + d_src * d_own + cut, d_own, one, in_c + src * width + keep, width),  # bias, rev.
-        (one, keep * nxt, out_p, zero, one, out_c, zero),  # kept neurons' outgoing weights
-        (moved, np.minimum(nxt, d_nxt), out_d + cut * d_nxt, d_nxt, one, out_c + keep * nxt, nxt),  # moved ones'
-        (moved, short_out, pad_at + moved * short_in, short_out, one, out_c + keep * nxt + d_nxt, nxt),  # pads
-        (one, lengths[prim] - tail, base[prim] + tail, zero, one, out_c + width * nxt, zero),  # the rest
-    ]).transpose(1, 0, 2).reshape(7, -1)
-    source = np.concatenate([g.phases for g in genomes] + [pads for *_, pads in crossings])
-    out = np.empty(size.sum())
-    large = rectangles[0] * rectangles[1] > _RECTANGLE_ENTRIES
-    for r, c, f, f_row, f_col, t, t_row in rectangles[:, large].T.tolist():
-        as_strided(out[t:], (r, c), (8 * t_row, 8))[...] = as_strided(source[f:], (r, c), (8 * f_row, 8 * f_col))
-    # The others row by row, then entry by entry: row i starts i row steps past
-    # its rectangle's start, its entries a column step apart in the source.
-    small = rectangles[:, ~large]
-    _, cols, from_at, from_row, from_col, to_at, to_row = np.repeat(small, small[0], axis=1)
-    i = np.arange(cols.size) - np.repeat(np.cumsum(small[0]) - small[0], small[0])
-    j = np.arange(cols.sum()) - np.repeat(np.cumsum(cols) - cols, cols)
-    from_at = np.repeat(from_at + i * from_row, cols) + j * np.repeat(from_col, cols)
-    out[np.repeat(to_at + i * to_row, cols) + j] = source[from_at]
-    # Every width and entry is a validated parent's or a finite draw, so children skip re-validation.
-    children = []
-    for k, same, level_k, width_k, at_k, size_k in zip(prim.tolist(), ((keep == own) & (moved == 0)).tolist(),
-                                                       level.tolist(), width.tolist(), at.tolist(), size.tolist()):
-        arch, hidden = genomes[k].architecture, genomes[k].architecture.hidden_widths
-        if not same and width_k != hidden[level_k - 1]:
-            arch = Architecture._trusted(arch.input_width, (*hidden[: level_k - 1], width_k, *hidden[level_k:]))
-        children.append(genomes[k] if same else NetworkGenome._trusted(arch, out[at_k : at_k + size_k].copy()))
-    return list(zip(children[::2], children[1::2]))
+    One relative cut position is mapped onto both parents' widths
+    (c = floor(u*p) + 1), so recombining a genome with itself returns
+    bit-equal copies while different widths still exchange variable-size
+    tails. Transferred weight columns/rows are truncated or padded to the
+    child's adjacent-layer widths; each child keeps its primary parent's
+    depth.
+    """
+    level, (c1, c2), (pads1, pads2) = crossing
+    return _splice(parent1, parent2, level, c1, c2, pads1), _splice(parent2, parent1, level, c2, c1, pads2)
 
 
 def select_survivor(
@@ -622,7 +598,7 @@ def _step(run: TrainingRun, gen: int, score) -> TrainingRun:
     population = run.population
     # Vary: each stream draws its candidate's strategy, rate, donors and
     # crossing (a perturbed genome has its base's architecture); one pass
-    # perturbs every candidate, one recombines them.
+    # perturbs every candidate, then each recombines with its perturbed genome.
     best, strategies, terms, crossings = population.best_index, [], [], []
     for i, rng in enumerate(_streams(run.seed, gen, range(len(population.candidates)))):
         strategies.append(select_strategy(float(rng.random()), run.probabilities))
@@ -630,7 +606,7 @@ def _step(run: TrainingRun, gen: int, score) -> TrainingRun:
         terms.append(draw_terms(strategies[-1], i, population, best, rate, rng))
         parent, base = population.candidates[i], population.candidates[terms[-1][0]]
         crossings.append(draw_crossing(parent.architecture, base.architecture, rng))
-    pairs = recombine(population.candidates, modulate(population, terms), crossings)
+    pairs = [recombine(*crossed) for crossed in zip(population.candidates, modulate(population, terms), crossings)]
     del crossings  # and their pads, before the children are scored
     # Evaluate: a child that is its candidate reuses the candidate's score.
     scored = score([child for pair in pairs for child in pair])

@@ -14,7 +14,7 @@ are the weights (row i, column j connects source i to destination j); a
 hidden destination adds a bias row; the last row holds the destinations'
 reversal parameters. The output transition has no bias row. `genome_length`
 and `transitions` state this layout, and every other module reads it through
-them.
+them; `NetworkGenome.transitions` keeps a genome's views once made.
 
 `forward_states` evaluates the same map without per-row trigonometry. With
 the gate phase g = exp(i*(pi/2)*sigmoid(rho)), the next state is
@@ -194,6 +194,12 @@ class NetworkGenome:
             self.phases, other.phases
         )
 
+    @functools.cached_property
+    def transitions(self) -> list[np.ndarray]:
+        """`transitions(self.architecture, self.phases)`, made once: read-only
+        views, as the phases are."""
+        return transitions(self.architecture, self.phases)
+
     @classmethod
     def _trusted(cls, architecture: Architecture, phases: np.ndarray) -> NetworkGenome:
         """Wrap a new, finite, C-contiguous float64 vector of `genome_length`
@@ -357,13 +363,10 @@ def _matrices(plan: _Plan, phases: list[np.ndarray]) -> tuple[np.ndarray, np.nda
     output transition has no bias column.
     """
     angles = np.concatenate(phases).reshape(len(phases), -1)
-    # A lone genome's angles are indexed as a vector: 2-D fancy indexing
-    # costs a few microseconds more a call, and 25 % more on a large genome.
-    view, lead = (angles[0], ()) if len(phases) == 1 else (angles, (slice(None),))
-    gates = sigmoid(view[(*lead, plan.rev)])
+    gates = sigmoid(angles[:, plan.rev])
     gates *= HALF_PI
-    view[(*lead, plan.rev)] = gates
-    view[(*lead, plan.fold_dst)] += view[(*lead, plan.fold_src)]
+    angles[:, plan.rev] = gates
+    angles[:, plan.fold_dst] += angles[:, plan.fold_src]
     n = angles.shape[1]
     table = np.empty((len(angles), 4 * n))
     np.cos(angles, out=table[:, :n])

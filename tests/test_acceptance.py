@@ -179,22 +179,18 @@ def _random_arch(rng, input_width: int) -> Architecture:
 
 def test_criterion_06_recombination_structural_validity():
     rng = np.random.default_rng(106)
-    parents, partners, crossings = [], [], []
     for trial in range(10_000):
-        parent, partner = (random_genome(_random_arch(rng, 4), rng) for _ in range(2))
-        parents.append(parent)
-        partners.append(partner)
-        crossings.append(draw_crossing(parent.architecture, partner.architecture, rng))
-    for trial, children in enumerate(recombine(parents, partners, crossings)):
-        for child in children:
+        parents = [random_genome(_random_arch(rng, 4), rng) for _ in range(2)]
+        for child in recombine(*parents, draw_crossing(*(p.architecture for p in parents), rng)):
             arch = child.architecture
             assert child.phases.size == _expected_genome_length(arch), (trial, arch)
             assert np.isfinite(child.phases).all(), (trial, arch)
             assert min(arch.hidden_widths) >= 1, (trial, arch)
     rng = np.random.default_rng(1060)
-    genomes = [random_genome(_random_arch(rng, 5), rng) for _ in range(20)]
-    crossings = [draw_crossing(g.architecture, g.architecture, np.random.default_rng(seed)) for seed, g in enumerate(genomes)]
-    for genome, (child1, child2) in zip(genomes, recombine(genomes, genomes, crossings)):
+    for seed in range(20):
+        genome = random_genome(_random_arch(rng, 5), rng)
+        crossing = draw_crossing(genome.architecture, genome.architecture, np.random.default_rng(seed))
+        child1, child2 = recombine(genome, genome, crossing)
         assert child1 == genome and child2 == genome
     _passed("criterion 6: 10^4 cross-architecture recombinations structurally valid; identical parents give bit-equal children")
 

@@ -275,20 +275,19 @@ def test_modulate_matches_per_candidate_reference(input_width, hidden, strategie
 
 def recombine_pair(p1, p2, rng):
     """One candidate's children, its crossing drawn as the trainer draws it."""
-    ((c1, c2),) = recombine([p1], [p2], [draw_crossing(p1.architecture, p2.architecture, rng)])
-    return c1, c2
+    return recombine(p1, p2, draw_crossing(p1.architecture, p2.architecture, rng))
 
 
 def splice_pair(p1, p2, level, cuts, rng):
     """The children of a crossing at `level` and `cuts`, its pads drawn as
     draw_crossing draws them: each moved neuron's missing weights from
     sources, then to destinations, child by child."""
-    count = 0
+    counts = []
     for (a, b), cut in zip(((p1, p2), (p2, p1)), cuts[::-1]):
         x, y = a.architecture.widths, b.architecture.widths
-        count += (y[level] - cut) * (max(x[level - 1] - y[level - 1], 0) + max(x[level + 1] - y[level + 1], 0))
-    ((c1, c2),) = recombine([p1], [p2], [(level, cuts, rng.uniform(-HALF_PI, HALF_PI, count))])
-    return c1, c2
+        counts.append((y[level] - cut) * (max(x[level - 1] - y[level - 1], 0) + max(x[level + 1] - y[level + 1], 0)))
+    pads = rng.uniform(-HALF_PI, HALF_PI, sum(counts))
+    return recombine(p1, p2, (level, cuts, (pads[: counts[0]], pads[counts[0] :])))
 
 
 def test_recombine_identical_parents_identity():
@@ -317,7 +316,7 @@ def test_recombine_moves_whole_bundles():
     # keep = donor_cut = 2 at level 1: two bundles from p1, the third from p2
     c1, _ = splice_pair(p1, p2, 1, (2, 2), np.random.default_rng(0))
     assert c1.architecture.hidden_widths == (3,)
-    hidden, output = network.transitions(c1.architecture, c1.phases)
+    hidden, output = c1.transitions
     assert np.array_equal(hidden[:2, :2], np.ones((2, 2)))
     assert np.array_equal(hidden[:2, 2], np.full(2, 2.0))
     assert hidden[2].tolist() == [1.0, 1.0, 2.0]  # bias
@@ -339,7 +338,7 @@ def test_splice_pads_land_in_draw_order():
     ref = np.random.default_rng(5)
     draws = ref.uniform(-HALF_PI, HALF_PI, 8)
     assert rng.bit_generator.state == ref.bit_generator.state
-    first, incoming, outgoing, output = network.transitions(child.architecture, child.phases)
+    first, incoming, outgoing, output = child.transitions
     # Incoming: each donor neuron's weights from sources 2 and 3, neuron
     # after neuron; outgoing: each donor neuron's weights to destinations 2
     # and 3, neuron after neuron.
@@ -431,8 +430,8 @@ def _splice_reference(primary, donor, level, keep, donor_cut, rng):
     hidden = list(primary.architecture.hidden_widths)
     hidden[level - 1] = keep + d_width - donor_cut
     arch = Architecture(primary.architecture.input_width, tuple(hidden))
-    p_in, p_out = network.transitions(primary.architecture, primary.phases)[level - 1 : level + 1]
-    d_in, d_out = network.transitions(donor.architecture, donor.phases)[level - 1 : level + 1]
+    p_in, p_out = primary.transitions[level - 1 : level + 1]
+    d_in, d_out = donor.transitions[level - 1 : level + 1]
     n = len(p_in) - 2
     incoming = np.empty((n + 2, hidden[level - 1]))
     incoming[:, :keep] = p_in[:, :keep]
@@ -448,7 +447,7 @@ def _splice_reference(primary, donor, level, keep, donor_cut, rng):
             m[: len(outgoing)] = outgoing
             m[len(outgoing) :] = p_out[p_width:]
         else:
-            m[...] = network.transitions(primary.architecture, primary.phases)[t]
+            m[...] = primary.transitions[t]
     return NetworkGenome(arch, phases)
 
 
@@ -465,15 +464,13 @@ def _recombine_reference(parent1, parent2, rng):
     input_width=st.integers(1, 8),
     hidden=st.lists(st.lists(st.integers(1, 10), min_size=1, max_size=4), min_size=2, max_size=16),
     same=st.lists(st.booleans(), min_size=8, max_size=8),
-    batch=st.sampled_from([1, 40, 200, evolve._RECOMBINE_PHASES]),
-    entries=st.sampled_from([0, 8, evolve._RECTANGLE_ENTRIES]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_recombine_matches_per_child_reference(input_width, hidden, same, batch, entries, seed):
+def test_recombine_matches_per_child_reference(input_width, hidden, same, seed):
     # Parents and partners of every depth and width (a partner of the
     # parent's own architecture, as the trainer's, in about half the
-    # candidates), phases with -0.0 and 0.0, passes of a few candidates, and
-    # rectangles copied entry by entry or as strided views.
+    # candidates) and phases with -0.0 and 0.0; pads drawn in the draw pass
+    # against pads drawn as each child is built.
     rng = np.random.default_rng(seed)
 
     def genome(widths):
@@ -492,11 +489,7 @@ def test_recombine_matches_per_child_reference(input_width, hidden, same, batch,
         crossings.append(draw_crossing(parent.architecture, partner.architecture, stream))
         expected.append(_recombine_reference(parent, partner, ref))
         assert stream.bit_generator.state == ref.bit_generator.state
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evolve, "_RECOMBINE_PHASES", batch)
-        patch.setattr(evolve, "_RECTANGLE_ENTRIES", entries)
-        pairs = recombine(parents, partners, crossings)
-    assert len(pairs) == len(parents)
+    pairs = [recombine(*crossed) for crossed in zip(parents, partners, crossings)]
     for pair, reference, parent, partner in zip(pairs, expected, parents, partners):
         for child, ref, primary in zip(pair, reference, (parent, partner)):
             assert (child is primary) == (ref is primary)
@@ -701,10 +694,10 @@ def test_train_scores_a_child_that_is_its_parent_once(monkeypatch):
         diag.degenerate_args += 1
         return forward(genome, states, diag, stack)
 
-    def counting_recombine(parents, partners, crossings):
-        pairs = recombine(parents, partners, crossings)
-        kept.extend(children[0] is parent for children, parent in zip(pairs, parents))
-        return pairs
+    def counting_recombine(parent1, parent2, crossing):
+        children = recombine(parent1, parent2, crossing)
+        kept.append(children[0] is parent1)
+        return children
 
     monkeypatch.setattr(network, "forward_states", counting_forward)
     monkeypatch.setattr(evolve, "recombine", counting_recombine)
@@ -726,8 +719,7 @@ def test_train_calls_variation_through_the_module_attributes(monkeypatch):
         monkeypatch.setattr(evolve, name, counted)
     cfg = tiny_config()
     train(cfg, tiny_dataset())
-    # One call of each per generation.
-    assert calls == {"modulate": cfg.generations, "recombine": cfg.generations}
+    assert calls == {"modulate": cfg.generations, "recombine": cfg.population_size * cfg.generations}
 
 
 def test_train_zero_generations():

@@ -112,7 +112,7 @@ def test_random_genome_deterministic():
 def test_random_genome_block_ranges():
     arch = Architecture(2, (2000,))
     g = random_genome(arch, np.random.default_rng(0))
-    for m in transitions(arch, g.phases):
+    for m in g.transitions:
         assert not m.flags.writeable
         angles, rev = m[:-1], m[-1]  # weights and bias, then reversals
         assert angles.min() >= -math.pi / 2 and angles.max() <= math.pi / 2
