@@ -14,8 +14,9 @@ import io
 import json
 import statistics
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain, zip_longest
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -37,32 +38,42 @@ PLOT_SCHEMA = "qevo.plot/1"
 
 _METRIC_NAMES = ("rmse", "mae", "mape")
 _TRAINING = evolve.TrainingConfig()
+_TRAIN_COMMANDS = ("train", "ablate")
+
+
+def _setting(default, text: str, commands=("train", "predict", "ablate"), text_in: dict | None = None, **flag):
+    return field(default=default, metadata={"text": text, "text_in": text_in or {}, "commands": commands, "flag": flag})
 
 
 @dataclass
 class RunConfig:
-    """Merged view of these defaults (TrainingConfig's for training), config file, and CLI flags (flags win)."""
+    """Merged view of these defaults (TraceFormat's and TrainingConfig's where they own one), config file, and
+    CLI flags (flags win). Each field is a config key, and a flag of the `commands` its `_setting` names, with
+    help `text` (`text_in` a subcommand's own) and any argparse options beyond a value flag's (`option`
+    respells the flag)."""
 
-    input: str | None = None
-    genome: str | None = None
-    timestamp_col: str = "timestamp"
-    value_col: str = "value"
-    delimiter: str = ","
-    header: bool = True
-    pi_minutes: int = 5
-    window: int = _TRAINING.window_size
-    population: int = _TRAINING.population_size
-    generations: int = _TRAINING.generations
-    train_frac: float = 0.6
-    seed: int = _TRAINING.seed
-    seeds: int = 5
-    out_dir: str = "out"
-    mode: str = _TRAINING.mode.value
-    metrics: str = "rmse,mae,mape"
-    hidden_min: int = _TRAINING.hidden_range[0]
-    hidden_max: int = _TRAINING.hidden_range[1]
-    depth_min: int = _TRAINING.depth_range[0]
-    depth_max: int = _TRAINING.depth_range[1]
+    input: str | None = _setting(None, "trace/series CSV file")
+    genome: str | None = _setting(None, "trained genome file", ("predict",))
+    timestamp_col: str = _setting(trace_io.TraceFormat.timestamp_col, "timestamp column name or index")
+    value_col: str = _setting(trace_io.TraceFormat.value_col, "value column name or index")
+    delimiter: str = _setting(trace_io.TraceFormat.delimiter, "CSV delimiter")
+    header: bool = _setting(trace_io.TraceFormat.header, "file has no header row", option="--no-header",
+                            action="store_false")
+    pi_minutes: int = _setting(5, "prediction interval in minutes")
+    window: int = _setting(_TRAINING.window_size, "input window size", text_in={"predict": "checked against the genome"})
+    population: int = _setting(_TRAINING.population_size, "population size", _TRAIN_COMMANDS)
+    generations: int = _setting(_TRAINING.generations, "training generations", _TRAIN_COMMANDS)
+    train_frac: float = _setting(0.6, "training fraction in (0,1)", _TRAIN_COMMANDS)
+    seed: int = _setting(_TRAINING.seed, "base random seed", _TRAIN_COMMANDS)
+    seeds: int = _setting(5, "number of consecutive seeds", ("ablate",))
+    out_dir: str = _setting("out", "output directory")
+    mode: str = _setting(_TRAINING.mode.value, "training mode", ("train",), option="--ablate-mode",
+                         choices=[m.value for m in evolve.TrainingMode])
+    metrics: str = _setting(",".join(_METRIC_NAMES), "comma list of metrics", _TRAIN_COMMANDS)
+    hidden_min: int = _setting(_TRAINING.hidden_range[0], "minimum hidden width", _TRAIN_COMMANDS)
+    hidden_max: int = _setting(_TRAINING.hidden_range[1], "maximum hidden width", _TRAIN_COMMANDS)
+    depth_min: int = _setting(_TRAINING.depth_range[0], "minimum hidden depth", _TRAIN_COMMANDS)
+    depth_max: int = _setting(_TRAINING.depth_range[1], "maximum hidden depth", _TRAIN_COMMANDS)
 
     def selected_metrics(self) -> list[str]:
         names = [m.strip() for m in self.metrics.split(",") if m.strip()]
@@ -74,8 +85,7 @@ class RunConfig:
         return names
 
     def trace_format(self) -> trace_io.TraceFormat:
-        names = (f.name for f in fields(trace_io.TraceFormat))
-        return trace_io.TraceFormat(**{name: getattr(self, name) for name in names})
+        return trace_io.TraceFormat(**{f.name: getattr(self, f.name) for f in fields(trace_io.TraceFormat)})
 
     def training_config(self, seed: int | None = None, mode: str | None = None):
         """The evolve settings; a value evolve rejects is a usage error."""
@@ -222,7 +232,7 @@ def read_forecast_csv(path: str | Path) -> list[dict]:
     """A forecast file's rows with raw-scale `actual` and `predicted`: its
     normalized cells through `dataset.denormalize` with the normalizer of its
     `#` lines. Only the extrapolated last row may lack an actual value; its
-    `actual` is None."""
+    `actual` is None. Every normalized value must be finite."""
     header, body = {}, []
     for line in io.StringIO(_read_text(path, "forecast"), newline=""):
         if line.startswith("#"):
@@ -253,6 +263,8 @@ def read_forecast_csv(path: str | Path) -> list[dict]:
             predicted.append(float(raw["predicted_normalized"]))
             if number < len(raws) or raw["actual_normalized"]:
                 actual.append(float(raw["actual_normalized"]))
+            if not all(map(isfinite, (predicted[-1], *actual[-1:]))):
+                raise ValueError("normalized values must be finite")
         except (TypeError, ValueError) as exc:
             raise MalformedReportError(f"{path}: bad forecast row {raw}: {exc}") from None
     return [
@@ -431,8 +443,10 @@ def cmd_plot_data(forecast_path: str, report_path: str | None, out_dir: str) -> 
         rows = [r for r in read_forecast_csv(forecast_path) if r["actual"] is not None]
         actual = [r["actual"] for r in rows]
         predicted = [r["predicted"] for r in rows]
-    if not actual:
-        raise MalformedReportError("no (actual, predicted) pairs to plot")
+    both = actual + predicted
+    if not actual or len(actual) != len(predicted) or not all(map(isfinite, [*both, max(both) - min(both)])):
+        raise MalformedReportError(f"{report_path or forecast_path}: {len(actual)} actual and {len(predicted)} "
+                                   "predicted values; a plot needs equal, nonzero counts of finite values in float range")
 
     plot_dir = Path(out_dir) / "plot"
     plot_dir.mkdir(parents=True, exist_ok=True)
@@ -447,67 +461,40 @@ def cmd_plot_data(forecast_path: str, report_path: str | None, out_dir: str) -> 
     return 0
 
 
-def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="trace/series CSV file")
-    parser.add_argument("--timestamp-col", dest="timestamp_col", help="timestamp column name or index")
-    parser.add_argument("--value-col", dest="value_col", help="value column name or index")
-    parser.add_argument("--delimiter", help="CSV delimiter (default ,)")
-    parser.add_argument("--no-header", dest="header", action="store_false", default=None,
-                        help="file has no header row")
-    parser.add_argument("--pi-minutes", dest="pi_minutes", type=int, help="prediction interval in minutes")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.add_argument("--config", help="flat key=value config file")
-
-
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", type=int, help="input window size")
-    parser.add_argument("--population", type=int, help="population size")
-    parser.add_argument("--generations", type=int, help="training generations")
-    parser.add_argument("--train-frac", dest="train_frac", type=float, help="training fraction in (0,1)")
-    parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--hidden-min", dest="hidden_min", type=int, help="minimum hidden width")
-    parser.add_argument("--hidden-max", dest="hidden_max", type=int, help="maximum hidden width")
-    parser.add_argument("--depth-min", dest="depth_min", type=int, help="minimum hidden depth")
-    parser.add_argument("--depth-max", dest="depth_max", type=int, help="maximum hidden depth")
-    parser.add_argument("--metrics", help="comma list from rmse,mae,mape")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qevo",
-        description="Evolutionary qubit-network forecasting for resource-usage traces",
-    )
+    parser = argparse.ArgumentParser(prog="qevo", description="Evolutionary qubit-network forecasting for resource-usage traces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train a forecaster on a trace")
-    _add_trace_flags(p_train)
-    _add_train_flags(p_train)
-    p_train.add_argument("--ablate-mode", dest="mode", choices=[m.value for m in evolve.TrainingMode],
-                         help="training mode (default full)")
-    p_train.add_argument("--checkpoint-dir", dest="checkpoint_dir", help="write per-generation checkpoints here")
-
-    p_predict = sub.add_parser("predict", help="forecast a series with a trained genome")
-    _add_trace_flags(p_predict)
-    p_predict.add_argument("--genome", help="trained genome file")
-    p_predict.add_argument("--window", type=int, help="expected window size (checked against genome)")
-
-    p_ablate = sub.add_parser("ablate", help="run full/fixed-arch/fixed-all over several seeds")
-    _add_trace_flags(p_ablate)
-    _add_train_flags(p_ablate)
-    p_ablate.add_argument("--seeds", type=int, help="number of consecutive seeds (default 5)")
+    commands = {
+        "train": sub.add_parser("train", help="train a forecaster on a trace"),
+        "predict": sub.add_parser("predict", help="forecast a series with a trained genome"),
+        "ablate": sub.add_parser("ablate", help="run full/fixed-arch/fixed-all over several seeds"),
+    }
+    for command in commands.values():
+        command.add_argument("--config", help="flat key=value config file")
+    # A flag defaults to None so that, left out, it leaves the config file's value.
+    for f in fields(RunConfig):
+        flag = dict(f.metadata["flag"])
+        option = flag.pop("option", "--" + f.name.replace("_", "-"))
+        text = f.metadata["text"]
+        if "action" not in flag:
+            text += "" if f.default is None else f" (default {f.default})"
+            if _CONFIG_KEYS[f.name] is not str:
+                flag["type"] = _CONFIG_KEYS[f.name]
+        for name in f.metadata["commands"]:
+            commands[name].add_argument(option, dest=f.name, default=None, help=f.metadata["text_in"].get(name, text), **flag)
+    commands["train"].add_argument("--checkpoint-dir", dest="checkpoint_dir", help="write per-generation checkpoints here")
 
     p_plot = sub.add_parser("plot-data", help="emit plot-ready CSV and a simple SVG chart")
     source = p_plot.add_mutually_exclusive_group(required=True)
     source.add_argument("--forecast", help="forecast.csv from train/predict")
     source.add_argument("--report", help="report.json from train")
-    p_plot.add_argument("--out-dir", dest="out_dir", default="out", help="output directory")
+    p_plot.add_argument("--out-dir", dest="out_dir", default=RunConfig.out_dir, help="output directory (default %(default)s)")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "plot-data":
             return cmd_plot_data(args.forecast, args.report, args.out_dir)

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
+import math
 import re
 import tempfile
 import xml.etree.ElementTree as ET
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 from qevo import dataset, evolve, network, trace_io
 from qevo.cli import (
-    FORECAST_COLUMNS, FORECAST_SCHEMA, RunConfig, load_config_file, main, read_forecast_csv,
-    write_forecast_csv,
+    _CONFIG_KEYS, FORECAST_COLUMNS, FORECAST_SCHEMA, RunConfig, _parse_bool, build_parser, load_config_file, main,
+    read_forecast_csv, write_forecast_csv,
 )
 from qevo.errors import InputError
 
@@ -383,6 +385,71 @@ def test_run_config_defaults_are_the_training_defaults():
     assert RunConfig().training_config() == evolve.TrainingConfig()
 
 
+# The CLI surface, written out: per subcommand, each flag's dest ->
+# (option strings, default, choices, action, type). Run settings default to
+# None so that a flag left out does not override the config file.
+_STORE, _STORE_FALSE = "_StoreAction", "_StoreFalseAction"
+_TRACE_SURFACE = {
+    "input": (("--input",), None, None, _STORE, None),
+    "timestamp_col": (("--timestamp-col",), None, None, _STORE, None),
+    "value_col": (("--value-col",), None, None, _STORE, None),
+    "delimiter": (("--delimiter",), None, None, _STORE, None),
+    "header": (("--no-header",), None, None, _STORE_FALSE, None),
+    "pi_minutes": (("--pi-minutes",), None, None, _STORE, int),
+    "out_dir": (("--out-dir",), None, None, _STORE, None),
+    "config": (("--config",), None, None, _STORE, None),
+}
+_TRAIN_SURFACE = {
+    "window": (("--window",), None, None, _STORE, int),
+    "population": (("--population",), None, None, _STORE, int),
+    "generations": (("--generations",), None, None, _STORE, int),
+    "train_frac": (("--train-frac",), None, None, _STORE, float),
+    "seed": (("--seed",), None, None, _STORE, int),
+    "hidden_min": (("--hidden-min",), None, None, _STORE, int),
+    "hidden_max": (("--hidden-max",), None, None, _STORE, int),
+    "depth_min": (("--depth-min",), None, None, _STORE, int),
+    "depth_max": (("--depth-max",), None, None, _STORE, int),
+    "metrics": (("--metrics",), None, None, _STORE, None),
+}
+_SURFACE = {
+    "train": {
+        **_TRACE_SURFACE, **_TRAIN_SURFACE,
+        "mode": (("--ablate-mode",), None, ["full", "fixed-arch", "fixed-all"], _STORE, None),
+        "checkpoint_dir": (("--checkpoint-dir",), None, None, _STORE, None),
+    },
+    "predict": {
+        **_TRACE_SURFACE,
+        "genome": (("--genome",), None, None, _STORE, None),
+        "window": (("--window",), None, None, _STORE, int),
+    },
+    "ablate": {**_TRACE_SURFACE, **_TRAIN_SURFACE, "seeds": (("--seeds",), None, None, _STORE, int)},
+    "plot-data": {
+        "forecast": (("--forecast",), None, None, _STORE, None),
+        "report": (("--report",), None, None, _STORE, None),
+        "out_dir": (("--out-dir",), "out", None, _STORE, None),
+    },
+}
+_CONFIG_KEY_TYPES = {
+    "input": str, "genome": str, "timestamp_col": str, "value_col": str, "delimiter": str,
+    "header": _parse_bool, "pi_minutes": int, "window": int, "population": int, "generations": int,
+    "train_frac": float, "seed": int, "seeds": int, "out_dir": str, "mode": str, "metrics": str,
+    "hidden_min": int, "hidden_max": int, "depth_min": int, "depth_max": int,
+}
+
+
+def test_cli_surface_is_pinned():
+    [commands] = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {
+            a.dest: (tuple(a.option_strings), a.default, a.choices, type(a).__name__, a.type)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in commands.items()
+    }
+    assert surface == _SURFACE
+    assert _CONFIG_KEYS == _CONFIG_KEY_TYPES
+
+
 def test_config_file_with_flag_override(trace_file, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -646,11 +713,13 @@ def cli_cases(draw):
     files = {}
     if command == "plot-data":
         files["forecast"] = draw(st.sampled_from([
-            V2_HEADER + b"3,test,0.5,0.25\n4,future,,1.0\n", V1_FORECAST,
+            V2_HEADER + b"3,test,0.5,0.25\n4,future,,1.0\n", V1_FORECAST, V2_HEADER + b"3,test,nan,0.25\n4,future,,1.0\n",
             b"index,split,actual,predicted\n", b"not,a,forecast\n", b"index,split,actual,predicted\n3,test,\xff,1.25\n",
         ]))
         files["report"] = draw(st.sampled_from([
             b'{"forecast": {"test_actual_normalized": [0.5, 1.0], "test_predicted_normalized": [0.25, 1.0]}}',
+            b'{"forecast": {"test_actual_normalized": [0.5, 1.0, 0.2], "test_predicted_normalized": [0.25]}}',
+            b'{"forecast": {"test_actual_normalized": [0.5, NaN], "test_predicted_normalized": [0.25, 1.0]}}',
             b"{}", b"not json", b'{"forecast": "\xff"}',
         ]))
         argv = [command]
@@ -707,4 +776,8 @@ def test_main_ends_every_argv_in_a_documented_exit_code(case):
             except SystemExit as exc:
                 assert exc.code == 2, argv  # argparse's own usage error
                 code = 2
+        if code == 0 and argv[0] == "plot-data":
+            svg = (Path(tmp) / "out" / "plot" / "chart.svg").read_text()
+            actual, predicted = ([float(c) for c in re.split("[ ,]", p)] for p in re.findall(r'points="([^"]*)"', svg))
+            assert len(actual) == len(predicted) and all(map(math.isfinite, actual + predicted)), argv
     assert code in (0, 1, 2), argv
