@@ -232,7 +232,8 @@ def read_forecast_csv(path: str | Path) -> list[dict]:
     """A forecast file's rows with raw-scale `actual` and `predicted`: its
     normalized cells through `dataset.denormalize` with the normalizer of its
     `#` lines. Only the extrapolated last row may lack an actual value; its
-    `actual` is None. Every normalized value must be finite."""
+    `actual` is None. Every normalized value, and its raw value, must be
+    finite."""
     header, body = {}, []
     for line in io.StringIO(_read_text(path, "forecast"), newline=""):
         if line.startswith("#"):
@@ -267,13 +268,14 @@ def read_forecast_csv(path: str | Path) -> list[dict]:
                 raise ValueError("normalized values must be finite")
         except (TypeError, ValueError) as exc:
             raise MalformedReportError(f"{path}: bad forecast row {raw}: {exc}") from None
+    with np.errstate(over="ignore"):  # a raw value past float range is refused below
+        actual, predicted = (dataset.denormalize(np.array(v), params).tolist() for v in (actual, predicted))
+    for raw, values in zip(raws, zip_longest(actual, predicted, fillvalue=0.0)):
+        if not all(map(isfinite, values)):
+            raise MalformedReportError(f"{path}: forecast row {raw} denormalizes past float range")
     return [
         {"index": index, "split": split, "actual": a, "predicted": p}
-        for (index, split), a, p in zip_longest(
-            keys,
-            dataset.denormalize(np.array(actual), params).tolist(),
-            dataset.denormalize(np.array(predicted), params).tolist(),
-        )
+        for (index, split), a, p in zip_longest(keys, actual, predicted)
     ]
 
 

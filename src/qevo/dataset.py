@@ -29,6 +29,8 @@ class NormalizationParams:
             raise ConstantSeriesError(
                 f"d_max ({self.d_max}) must exceed d_min ({self.d_min})"
             )
+        if not math.isfinite(self.d_max - self.d_min):
+            raise ValueError("normalization span d_max - d_min must be finite")
 
 
 @dataclass(frozen=True)

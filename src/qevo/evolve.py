@@ -12,8 +12,9 @@ A generation runs in three phases: vary every candidate, evaluate every
 child, then select every survivor. Its outcome is one frozen `TrainingRun`.
 Varying is a draw pass (`draw_terms`, `draw_crossing`), one array pass
 building every perturbed genome (`modulate`), then `recombine` per candidate.
-Evaluating is one `DatasetFitness.scores` call, by architecture group. A
-child that is its candidate reuses its (fitness, degenerate args).
+Evaluating is one call of `train`'s scorer, which runs
+`network.forward_grouped` over the children not scored yet, by architecture
+group. A child that is its candidate reuses its (fitness, degenerate args).
 
 Determinism: every random draw for candidate i in generation g comes from a
 stream seeded by (seed, g, i), so a candidate's step depends on nothing but
@@ -174,30 +175,6 @@ class TrainingRun:
             "degenerate_args": self.degenerate_args,
             "final_architectures": self.final_architectures,
         }
-
-
-class DatasetFitness:
-    """Training-set RMSE of a genome's predictions; the trainer's objective.
-
-    Input states are genome-independent, so they are encoded once and shared
-    across all candidate evaluations.
-    """
-
-    def __init__(self, data: WindowedDataset):
-        self._states = network.input_states(data.inputs)
-        self._targets = np.asarray(data.targets, dtype=float)
-
-    def __call__(self, genome: NetworkGenome) -> tuple[float, int]:
-        diag = network.ForwardDiagnostics()
-        preds = network.forward_states(genome, self._states, diag)
-        return rmse(self._targets, preds), diag.degenerate_args
-
-    def scores(self, genomes: list[NetworkGenome]) -> list[tuple[float, int]]:
-        """`[self(g) for g in genomes]`, bit for bit, through `network.forward_grouped`."""
-        results = [None] * len(genomes)
-        for i, preds, degenerate in network.forward_grouped(genomes, self._states):
-            results[i] = rmse(self._targets, preds), degenerate
-        return results
 
 
 _MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
@@ -484,8 +461,9 @@ def _sample_architecture(config: TrainingConfig, rng: np.random.Generator) -> Ar
 
 def init_population(config: TrainingConfig, score) -> tuple[Population, int]:
     """Generation-0 population: sampled architectures (one shared architecture
-    in the fixed modes), random genomes, scored in one `score` call (as
-    `DatasetFitness.scores`)."""
+    in the fixed modes), random genomes, scored in one `score` call, which
+    maps a list of genomes to their (fitness, degenerate args), as `train`'s
+    scorer does."""
     shared, p = None, config.population_size
     if config.mode is not TrainingMode.FULL:
         shared = _sample_architecture(config, next(_streams(config.seed, 0, range(p, p + 1))))
@@ -637,8 +615,9 @@ def train(
 ) -> tuple[NetworkGenome, TrainingRun]:
     """Run the training loop; return the best genome and the run record.
 
-    Fitness is training-set RMSE over `train_data` (`DatasetFitness`). The
-    record's `to_dict()` is the report's "training" section.
+    Fitness is the RMSE of a genome's predictions over `train_data`, whose
+    input states are encoded once and shared by every genome. The record's
+    `to_dict()` is the report's "training" section.
     `checkpoint_dir` (created first, parents included) receives the record
     after every generation as `checkpoint_gen<g>.json`. `resume` (a
     `load_checkpoint` result) continues from that record and reproduces the
@@ -649,12 +628,13 @@ def train(
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    fitness_fn = DatasetFitness(train_data)
+    states, targets = network.input_states(train_data.inputs), train_data.targets
     known = {}  # id -> (genome, (fitness, degenerate args)), pruned to the population after each select
 
     def score(genomes: list[NetworkGenome]) -> list[tuple[float, int]]:
         fresh = list({id(g): g for g in genomes if id(g) not in known}.values())
-        known.update((id(g), (g, result)) for g, result in zip(fresh, fitness_fn.scores(fresh)))
+        for i, preds, degenerate in network.forward_grouped(fresh, states):
+            known[id(fresh[i])] = fresh[i], (rmse(targets, preds), degenerate)
         return [known[id(g)][1] for g in genomes]
 
     if resume is None:

@@ -24,7 +24,7 @@ the gate phase g = exp(i*(pi/2)*sigmoid(rho)), the next state is
 and the output is Im(g * conj(U) / |U|)^2, so the only transcendentals are
 one cos and one sin of the genome's angles (`_matrices`). A zero sum U == 0
 has no argument: it is taken as arg 0, so the state becomes the gate phase
-g itself, and `ForwardDiagnostics.degenerate_args` counts it.
+g itself, and `forward_states` returns how many such sums it met.
 
 The pass runs in real arithmetic on (planes, rows) blocks. A layer of
 width w is 2w block rows: the cos of each neuron's state, then the sin, so
@@ -220,13 +220,6 @@ def random_genome(arch: Architecture, rng: np.random.Generator) -> NetworkGenome
     return NetworkGenome(architecture=arch, phases=phases)
 
 
-@dataclass
-class ForwardDiagnostics:
-    """Counters accumulated during forward passes."""
-
-    degenerate_args: int = 0
-
-
 def encode_input(normalized):
     """Map normalized values in [0, 1] to phases in [0, pi/2]."""
     return HALF_PI * np.asarray(normalized, dtype=float)
@@ -282,7 +275,6 @@ class _Plan(NamedTuple):
     fold_src: np.ndarray
     gather: np.ndarray
     matrices: tuple[tuple[int, int, int], ...]
-    output_gate: int
     tile_rows: int
 
 
@@ -330,8 +322,7 @@ def _build_plan(arch: Architecture) -> _Plan:
     # A matrix holds M*K = stop - start entries, so a tile's largest product
     # makes M*K*tile_rows multiply-adds.
     tile_rows = max(1, _TILE_MULTIPLY_ADDS // max(stop - start for start, stop, _ in matrices))
-    # The output gate is the output's reversal, the genome's last entry.
-    return _Plan(rev, fold_dst, fold_src, gather, tuple(matrices), n - 1, tile_rows)
+    return _Plan(rev, fold_dst, fold_src, gather, tuple(matrices), tile_rows)
 
 
 # A plan's tables take at most 32 bytes a phase: a weight behind a hidden
@@ -372,8 +363,9 @@ def _matrices(plan: _Plan, phases: list[np.ndarray]) -> tuple[np.ndarray, np.nda
     np.cos(angles, out=table[:, :n])
     np.sin(angles, out=table[:, n : 2 * n])
     np.negative(table[:, : 2 * n], out=table[:, 2 * n :])
-    gate = plan.output_gate  # the gates are copied, so no stack holds the table
-    return table.take(plan.gather, axis=1), table[:, gate].copy(), table[:, n + gate].copy()
+    # The output gate is the output's reversal, the genome's last entry. The
+    # gates are copied, so no stack holds the table.
+    return table.take(plan.gather, axis=1), table[:, n - 1].copy(), table[:, 2 * n - 1].copy()
 
 
 _workspace = threading.local()
@@ -414,29 +406,27 @@ class _Stack:
         return self._steps
 
 
-def _normalize_exactly(planes: np.ndarray, mag: np.ndarray, diag: ForwardDiagnostics | None) -> None:
+def _normalize_exactly(planes: np.ndarray, mag: np.ndarray) -> int:
     """Scale the (2, w, rows) planes of conj(U) to unit modulus through
     np.hypot, which neither underflows nor overflows, and set `mag` to 1.
-    A zero sum becomes 1 + 0i (arg 0: the state is the gate phase) and is
-    counted."""
+    A zero sum becomes 1 + 0i (arg 0: the state is the gate phase); returns
+    how many there were."""
     np.hypot(planes[0], planes[1], out=mag)
     zero = mag == 0.0
-    if zero.any():
-        if diag is not None:
-            diag.degenerate_args += int(np.count_nonzero(zero))
-        planes[0][zero] = 1.0
-        mag[zero] = 1.0
+    planes[0][zero] = 1.0
+    mag[zero] = 1.0
     planes /= mag
     mag.fill(1.0)
+    return int(np.count_nonzero(zero))
 
 
 def forward_states(
     genome: NetworkGenome,
     states: np.ndarray,
-    diag: ForwardDiagnostics | None = None,
     stack: tuple[_Stack, int] | None = None,
-) -> np.ndarray:
-    """Run the network over `input_states` output; one prediction per row.
+) -> tuple[np.ndarray, int]:
+    """Run the network over `input_states` output: one prediction per row,
+    and how many neuron sums were exactly zero (degenerate arguments).
 
     `states` is only read, so one input-state array can serve every genome.
     The predictions are a new array that shares no memory with the workspace.
@@ -450,7 +440,7 @@ def forward_states(
             " input_states gives cos and sin planes and a -1 column"
         )
     made, k = (_Stack(_plan(arch), [genome.phases]), 0) if stack is None else stack
-    block = states.T
+    block, degenerate = states.T, 0
     for matrices, (u, square, top, bottom, planes, below) in zip(made.matrices, made.steps(states.shape[0])):
         # [Re U; -Im U], the planes of conj(U). The output matrix has no bias
         # column, so its input block stops before the -1 row.
@@ -459,7 +449,7 @@ def forward_states(
         np.square(u, out=square)
         mag = np.add(top, bottom, out=top)
         if np.minimum.reduce(mag, axis=None, initial=np.inf) < _TINY:
-            _normalize_exactly(planes, mag, diag)
+            degenerate += _normalize_exactly(planes, mag)
         elif below is not None:
             planes *= np.reciprocal(np.sqrt(mag, out=mag), out=mag)
         if below is not None:
@@ -470,7 +460,7 @@ def forward_states(
     im += made.gate_cos[k] * u[1]
     im *= im
     im /= mag[0]
-    return im
+    return im, degenerate
 
 
 # The most bytes one chunk of `forward_grouped` stacks: its genomes' angles,
@@ -489,21 +479,16 @@ def forward_grouped(genomes: list[NetworkGenome], states: np.ndarray):
         groups.setdefault(genome.architecture, []).append(i)
     for arch, members in groups.items():
         plan = _plan(arch)
-        size = max(1, _CHUNK_BYTES // (8 * (5 * (plan.output_gate + 1) + plan.gather.size)))
+        size = max(1, _CHUNK_BYTES // (8 * (5 * genome_length(arch) + plan.gather.size)))
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
             made = _Stack(plan, [genomes[i].phases for i in chunk])
             for k, i in enumerate(chunk):
-                diag = ForwardDiagnostics()
-                yield i, forward_states(genomes[i], states, diag, (made, k)), diag.degenerate_args
+                yield i, *forward_states(genomes[i], states, (made, k))
             del made  # before the next chunk's matrices are made
 
 
-def forward_batch(
-    genome: NetworkGenome,
-    rows: np.ndarray,
-    diag: ForwardDiagnostics | None = None,
-) -> np.ndarray:
+def forward_batch(genome: NetworkGenome, rows: np.ndarray) -> np.ndarray:
     """Predict one normalized value in [0, 1] per input row.
 
     The rows pass through `input_states` and `forward_states` in tiles of
@@ -521,20 +506,16 @@ def forward_batch(
     # At least one pass, so zero rows of the wrong width still raise.
     for start in range(0, max(rows.shape[0], 1), plan.tile_rows):
         stop = start + plan.tile_rows
-        preds[start:stop] = forward_states(genome, input_states(rows[start:stop]), diag, stack)
+        preds[start:stop] = forward_states(genome, input_states(rows[start:stop]), stack)[0]
     return preds
 
 
-def forward(
-    genome: NetworkGenome,
-    normalized_row,
-    diag: ForwardDiagnostics | None = None,
-) -> float:
+def forward(genome: NetworkGenome, normalized_row) -> float:
     """Predict for a single normalized window."""
     row = np.asarray(normalized_row, dtype=float)
     if row.ndim != 1:
         raise DimensionMismatchError(f"expected 1-d row, got shape {row.shape}")
-    return float(forward_batch(genome, row[None, :], diag)[0])
+    return float(forward_batch(genome, row[None, :])[0])
 
 
 def genome_to_bytes(genome: NetworkGenome) -> bytes:

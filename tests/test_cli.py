@@ -244,6 +244,11 @@ V1_FORECAST = b"# schema: qevo.forecast/1\nindex,split,actual,predicted\n3,test,
 V2_HEADER = b"# schema: qevo.forecast/2\n# d_min: 2.0\n# d_max: 6.0\nindex,split,actual_normalized,predicted_normalized\n"
 
 
+def _bounds(d_min: bytes, d_max: bytes) -> bytes:
+    """`V2_HEADER` with the normalizer bounds `d_min` and `d_max`."""
+    return V2_HEADER.replace(b"d_min: 2.0", b"d_min: " + d_min).replace(b"d_max: 6.0", b"d_max: " + d_max)
+
+
 @pytest.mark.parametrize(
     "argv, files, message",
     [
@@ -282,13 +287,19 @@ V2_HEADER = b"# schema: qevo.forecast/2\n# d_min: 2.0\n# d_max: 6.0\nindex,split
          "bad forecast row"),
         (["plot-data", "--forecast", "{dir}/f.csv"], {"f.csv": V2_HEADER + b"3,test,0.5,\n4,future,,0.5\n"},
          "bad forecast row"),
+        (["plot-data", "--forecast", "{dir}/f.csv"],
+         {"f.csv": _bounds(b"-1e+308", b"7e+307") + b"3,test,0.5,1.1\n4,future,,1.0\n"},
+         "forecast row {'index': '3', 'split': 'test', 'actual_normalized': '0.5', 'predicted_normalized': '1.1'}"),
+        (["plot-data", "--forecast", "{dir}/f.csv"],
+         {"f.csv": _bounds(b"-1.7e+308", b"1.7e+308") + b"3,test,0.5,0.0\n4,future,,1.0\n"}, "bad normalizer"),
     ],
     ids=[
         "config-not-utf8", "forecast-not-utf8", "report-not-utf8", "config-missing", "config-line-without-equals",
         "forecast-bad-row", "train-without-input", "predict-without-genome", "train-pi-minutes-past-float",
         "predict-pi-minutes-past-float", "train-population-past-phase-bound", "forecast-v1", "forecast-no-schema",
         "forecast-no-d-min", "forecast-d-max-not-a-float", "forecast-d-max-nan", "forecast-d-max-not-above-d-min",
-        "forecast-empty-actual-before-the-last-row", "forecast-empty-prediction",
+        "forecast-empty-actual-before-the-last-row", "forecast-empty-prediction", "forecast-raw-past-float-range",
+        "forecast-span-past-float-range",
     ],
 )
 def test_bad_file_or_missing_flag_is_usage_error(tmp_path, capsys, argv, files, message):
@@ -715,6 +726,9 @@ def cli_cases(draw):
         files["forecast"] = draw(st.sampled_from([
             V2_HEADER + b"3,test,0.5,0.25\n4,future,,1.0\n", V1_FORECAST, V2_HEADER + b"3,test,nan,0.25\n4,future,,1.0\n",
             b"index,split,actual,predicted\n", b"not,a,forecast\n", b"index,split,actual,predicted\n3,test,\xff,1.25\n",
+            # A raw value past float range, and a span past it.
+            _bounds(b"-1e+308", b"7e+307") + b"3,test,0.5,1.1\n4,future,,1.0\n",
+            _bounds(b"-1.7e+308", b"1.7e+308") + b"3,test,0.5,0.0\n4,future,,1.0\n",
         ]))
         files["report"] = draw(st.sampled_from([
             b'{"forecast": {"test_actual_normalized": [0.5, 1.0], "test_predicted_normalized": [0.25, 1.0]}}',

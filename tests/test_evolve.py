@@ -16,7 +16,6 @@ from qevo.errors import (
 from qevo.evolve import (
     MAX_POPULATION_PHASES,
     STRATEGIES,
-    DatasetFitness,
     Population,
     Strategy,
     TrainingConfig,
@@ -33,6 +32,7 @@ from qevo.evolve import (
     train,
     update_probabilities,
 )
+from qevo.metrics import rmse
 from qevo.network import HALF_PI, Architecture, NetworkGenome, genome_length, random_genome
 
 from conftest import sine_series
@@ -561,72 +561,21 @@ def test_streams_reject_indices_of_two_words():
 
 # ------------------------------------------------------- population / training
 
-def _scored_bits(results):
-    return [(np.float64(fit).tobytes(), degenerate) for fit, degenerate in results]
+def rmse_scorer(data):
+    """A scorer as `train` makes one: each genome's RMSE over `data` and its
+    degenerate count, here one `forward_states` call a genome."""
+    states = network.input_states(data.inputs)
 
+    def score(genomes):
+        return [(rmse(data.targets, preds), degenerate)
+                for preds, degenerate in (network.forward_states(g, states) for g in genomes)]
 
-def _planted(arch, rng):
-    """A genome of input width 1 whose hidden neuron 0 sums a 0 input to
-    exactly 0: its bias phase equals its weight phase."""
-    phases = random_genome(arch, rng).phases.copy()
-    weight, bias, _ = network.transitions(arch, phases)[0]
-    bias[0] = weight[0]
-    return NetworkGenome(arch, phases)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    input_width=st.sampled_from([1, 1, 2, 5]),
-    hidden=st.lists(st.lists(st.integers(1, 8), min_size=1, max_size=3), min_size=1, max_size=4),
-    picks=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=24),
-    budget=st.sampled_from([1, 2**12, 2**14, network._CHUNK_BYTES]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_dataset_scores_match_per_genome_calls(input_width, hidden, picks, budget, seed):
-    # Genomes of a few architectures in any order, chunks split by small
-    # budgets, and (at input width 1) zero-sum members beside fast-path ones.
-    rng = np.random.default_rng(seed)
-    rows = rng.random((int(rng.integers(1, 200)), input_width))
-    rows[rng.random(len(rows)) < 0.2] = 0.0
-    fitness = DatasetFitness(dataset.WindowedDataset(input_width, rows, rng.random(len(rows))))
-    archs = [Architecture(input_width, tuple(h)) for h in hidden]
-    genomes = [
-        _planted(archs[a % len(archs)], rng) if planted and input_width == 1 else random_genome(archs[a % len(archs)], rng)
-        for a, planted in picks
-    ]
-    expected = [fitness(g) for g in genomes]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(network, "_CHUNK_BYTES", budget)
-        assert _scored_bits(fitness.scores(genomes)) == _scored_bits(expected)
-
-
-def test_dataset_scores_a_zero_sum_member_beside_fast_path_members(monkeypatch):
-    arch = Architecture(1, (4, 3))
-    rng = np.random.default_rng(20)
-    rows = rng.random((50, 1))
-    rows[[3, 17, 40]] = 0.0
-    fitness = DatasetFitness(dataset.WindowedDataset(1, rows, rng.random(50)))
-    genomes = [random_genome(arch, rng), random_genome(arch, rng), _planted(arch, rng), random_genome(arch, rng)]
-    exact, inner = [], network._normalize_exactly
-
-    def recording(planes, mag, diag):
-        exact.append(mag.shape)
-        inner(planes, mag, diag)
-
-    stacks, inner_matrices = [], network._matrices
-    monkeypatch.setattr(network, "_normalize_exactly", recording)
-    monkeypatch.setattr(network, "_matrices", lambda plan, phases: stacks.append(len(phases)) or inner_matrices(plan, phases))
-    scores = fitness.scores(genomes)
-    assert stacks == [len(genomes)]  # one chunk
-    assert exact == [(4, 50)]  # the planted member's hidden layer only
-    assert [deg for _, deg in scores] == [0, 0, 3, 0]
-    assert _scored_bits(scores) == _scored_bits([fitness(g) for g in genomes])
+    return score
 
 
 def test_init_population_size_and_ranges():
     cfg = tiny_config(population_size=12)
-    fitness_fn = DatasetFitness(tiny_dataset())
-    pop, _ = init_population(cfg, fitness_fn.scores)
+    pop, _ = init_population(cfg, rmse_scorer(tiny_dataset()))
     assert len(pop.candidates) == 12
     for g in pop.candidates:
         assert 1 <= g.architecture.depth <= 2
@@ -637,9 +586,9 @@ def test_init_population_size_and_ranges():
 
 def test_init_population_deterministic():
     cfg = tiny_config()
-    fitness_fn = DatasetFitness(tiny_dataset())
-    pop1, _ = init_population(cfg, fitness_fn.scores)
-    pop2, _ = init_population(cfg, fitness_fn.scores)
+    score = rmse_scorer(tiny_dataset())
+    pop1, _ = init_population(cfg, score)
+    pop2, _ = init_population(cfg, score)
     assert all(a == b for a, b in zip(pop1.candidates, pop2.candidates))
     assert np.array_equal(pop1.fitness, pop2.fitness)
 
@@ -689,10 +638,10 @@ def test_train_scores_a_child_that_is_its_parent_once(monkeypatch):
     # whether a reused score carries its parent's count.
     forward, passes, kept = network.forward_states, [], []
 
-    def counting_forward(genome, states, diag=None, stack=None):
+    def counting_forward(genome, states, stack=None):
         passes.append(genome)
-        diag.degenerate_args += 1
-        return forward(genome, states, diag, stack)
+        preds, degenerate = forward(genome, states, stack)
+        return preds, degenerate + 1
 
     def counting_recombine(parent1, parent2, crossing):
         children = recombine(parent1, parent2, crossing)

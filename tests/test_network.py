@@ -13,7 +13,6 @@ from qevo import network, testkit
 from qevo.errors import DimensionMismatchError, GenomeFormatError
 from qevo.network import (
     Architecture,
-    ForwardDiagnostics,
     NetworkGenome,
     encode_input,
     forward,
@@ -164,9 +163,10 @@ def test_forward_hand_trace_minimal_net():
     # all phases 0, input 0: hidden accumulation cancels to 0 (degenerate,
     # arg -> 0), hidden phase pi/4, output phase 0, prediction sin(0)^2 = 0
     g = zeros_genome(Architecture(1, (1,)))
-    diag = ForwardDiagnostics()
-    assert forward(g, [0.0], diag) == pytest.approx(0.0, abs=1e-12)
-    assert diag.degenerate_args == 1
+    assert forward(g, [0.0]) == pytest.approx(0.0, abs=1e-12)
+    preds, degenerate = forward_states(g, input_states([[0.0]]))
+    assert preds.tobytes() == np.array([forward(g, [0.0])]).tobytes()
+    assert degenerate == 1
 
 
 def test_forward_range():
@@ -206,9 +206,9 @@ def test_forward_batch_over_no_rows_is_empty():
 def test_forward_batch_counts_degenerates():
     g = zeros_genome(Architecture(1, (1,)))
     rows = np.zeros((7, 1))
-    diag = ForwardDiagnostics()
-    forward_batch(g, rows, diag)
-    assert diag.degenerate_args == 7
+    preds, degenerate = forward_states(g, input_states(rows))
+    assert preds.tobytes() == forward_batch(g, rows).tobytes()
+    assert degenerate == 7
 
 
 def test_input_states_is_a_read_only_view_with_a_minus_one_column():
@@ -281,7 +281,7 @@ def test_forward_results_never_alias_the_workspace():
     rng = np.random.default_rng(10)
     genome = random_genome(Architecture(4, (6, 3)), rng)
     states = input_states(rng.random((50, 4)))
-    first = forward_states(genome, states)
+    first, _ = forward_states(genome, states)
     copy = first.copy()
     other = random_genome(Architecture(4, (6, 3)), rng)
     forward_states(other, states)
@@ -297,13 +297,13 @@ def test_forward_states_in_concurrent_threads():
         (random_genome(Architecture(5, (int(w), 4)), rng), input_states(rng.random((int(r), 5))))
         for w, r in zip(rng.integers(1, 10, 8), rng.integers(1, 600, 8))
     ]
-    expected = [forward_states(g, s).tobytes() for g, s in cases]
+    expected = [forward_states(g, s)[0].tobytes() for g, s in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
-                pool.submit(lambda: [forward_states(g, s).tobytes() for g, s in cases])
+                pool.submit(lambda: [forward_states(g, s)[0].tobytes() for g, s in cases])
                 for _ in range(8)
             ]
             results = [f.result(timeout=120) for f in futures]
@@ -319,8 +319,7 @@ def _check_against_oracle(genome, rows, conditioned=False):
     shared input states are left untouched."""
     states = input_states(rows)
     before = states.copy()
-    diag = ForwardDiagnostics()
-    preds = forward_states(genome, states, diag)
+    preds, degenerate = forward_states(genome, states)
     assert np.array_equal(states, before)
     for row, pred, row_conditioned in zip(rows, preds, np.broadcast_to(conditioned, len(rows))):
         if row_conditioned:
@@ -328,7 +327,7 @@ def _check_against_oracle(genome, rows, conditioned=False):
         else:
             expected, bound = testkit.oracle_forward(genome, row), 1e-12
         assert abs(pred - expected) <= bound
-    return diag.degenerate_args
+    return degenerate
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,9 +446,9 @@ def _record_tile_rows(monkeypatch):
     """Make every forward_states call append its row count to the list returned."""
     rows, inner = [], network.forward_states
 
-    def recording(genome, states, diag=None, stack=None):
+    def recording(genome, states, stack=None):
         rows.append(states.shape[0])
-        return inner(genome, states, diag, stack)
+        return inner(genome, states, stack)
 
     monkeypatch.setattr(network, "forward_states", recording)
     return rows
@@ -520,7 +519,7 @@ def test_forward_batch_stitches_its_tiles(count, monkeypatch):
     genome = random_genome(TILED, rng)
     rows = rng.random((count, TILED.input_width))
     tiles = _tiles(count, TILE)
-    per_tile = [forward_states(genome, input_states(rows[tile])) for tile in tiles]
+    per_tile = [forward_states(genome, input_states(rows[tile]))[0] for tile in tiles]
     seen = _record_tile_rows(monkeypatch)
     preds = forward_batch(genome, rows)
     assert seen == [tile.stop - tile.start for tile in tiles]
@@ -557,7 +556,7 @@ def test_grouped_chunks_stay_within_the_byte_budget(monkeypatch):
 
     def recording(plan, phases):
         made = inner(plan, phases)
-        stacks.append((len(phases), 8 * (made[0].size + 5 * len(phases) * (plan.output_gate + 1))))
+        stacks.append((len(phases), 8 * (made[0].size + 5 * len(phases) * phases[0].size)))
         return made
 
     monkeypatch.setattr(network, "_matrices", recording)
@@ -583,6 +582,78 @@ def test_grouped_chunks_stay_within_the_byte_budget(monkeypatch):
     assert len(stacks) == sum(chunks(a) for a in (small, mid, large))
 
 
+def _planted(arch, rng):
+    """A genome of input width 1 whose hidden neuron 0 sums a 0 input to
+    exactly 0: its bias phase equals its weight phase."""
+    phases = random_genome(arch, rng).phases.copy()
+    weight, bias, _ = transitions(arch, phases)[0]
+    bias[0] = weight[0]
+    return NetworkGenome(arch, phases)
+
+
+def _bits(results):
+    """(prediction bytes, degenerate count) of each (predictions, count) pair."""
+    return [(preds.tobytes(), degenerate) for preds, degenerate in results]
+
+
+def _grouped(genomes, states):
+    """`forward_grouped`'s results, put back in the genomes' order."""
+    results = [None] * len(genomes)
+    for i, preds, degenerate in network.forward_grouped(genomes, states):
+        results[i] = preds, degenerate
+    return results
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    input_width=st.sampled_from([1, 1, 2, 5]),
+    hidden=st.lists(st.lists(st.integers(1, 8), min_size=1, max_size=3), min_size=1, max_size=4),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=24),
+    budget=st.sampled_from([1, 2**12, 2**14, network._CHUNK_BYTES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_results_match_per_genome_calls(input_width, hidden, picks, budget, seed):
+    # Genomes of a few architectures in any order, chunks split by small
+    # budgets, and (at input width 1) zero-sum members beside fast-path ones.
+    rng = np.random.default_rng(seed)
+    rows = rng.random((int(rng.integers(1, 200)), input_width))
+    rows[rng.random(len(rows)) < 0.2] = 0.0
+    states = input_states(rows)
+    archs = [Architecture(input_width, tuple(h)) for h in hidden]
+    genomes = [
+        _planted(archs[a % len(archs)], rng) if planted and input_width == 1 else random_genome(archs[a % len(archs)], rng)
+        for a, planted in picks
+    ]
+    expected = [forward_states(g, states) for g in genomes]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_CHUNK_BYTES", budget)
+        assert _bits(_grouped(genomes, states)) == _bits(expected)
+
+
+def test_grouped_results_hold_a_zero_sum_member_beside_fast_path_members(monkeypatch):
+    arch = Architecture(1, (4, 3))
+    rng = np.random.default_rng(20)
+    rows = rng.random((50, 1))
+    rows[[3, 17, 40]] = 0.0
+    states = input_states(rows)
+    genomes = [random_genome(arch, rng), random_genome(arch, rng), _planted(arch, rng), random_genome(arch, rng)]
+    expected = [forward_states(g, states) for g in genomes]
+    exact, inner = [], network._normalize_exactly
+
+    def recording(planes, mag):
+        exact.append(mag.shape)
+        return inner(planes, mag)
+
+    stacks, inner_matrices = [], network._matrices
+    monkeypatch.setattr(network, "_normalize_exactly", recording)
+    monkeypatch.setattr(network, "_matrices", lambda plan, phases: stacks.append(len(phases)) or inner_matrices(plan, phases))
+    results = _grouped(genomes, states)
+    assert stacks == [len(genomes)]  # one chunk
+    assert exact == [(4, 50)]  # the planted member's hidden layer only
+    assert [degenerate for _, degenerate in results] == [0, 0, 3, 0]
+    assert _bits(results) == _bits(expected)
+
+
 def test_forward_batch_counts_each_zero_sum_once_across_tiles():
     # As in the hidden-layer zero-sum test: neuron 0's bias phase equals its
     # weight phase, so a 0 input sums to exactly 0 there. Zero rows sit in the
@@ -597,9 +668,8 @@ def test_forward_batch_counts_each_zero_sum_once_across_tiles():
     rows = rng.uniform(0.01, 1.0, (5 * tile // 2, 1))
     zero = [1, tile - 1, 2 * tile + 3]
     rows[zero] = 0.0
-    diag = ForwardDiagnostics()
-    forward_batch(genome, rows, diag)
-    assert diag.degenerate_args == len(zero)
+    counts = [forward_states(genome, input_states(rows[t]))[1] for t in _tiles(len(rows), tile)]
+    assert counts == [2, 0, 1]
 
 
 def test_an_underflow_row_in_the_last_partial_tile_takes_the_hypot_path(monkeypatch):
@@ -615,15 +685,13 @@ def test_an_underflow_row_in_the_last_partial_tile_takes_the_hypot_path(monkeypa
     rows[-2] = 1e-200
     exact_blocks, inner = [], network._normalize_exactly
 
-    def recording(planes, mag, diag):
-        exact_blocks.append(mag.shape)
-        inner(planes, mag, diag)
+    def recording(planes, mag):
+        exact_blocks.append((mag.shape, inner(planes, mag)))
+        return exact_blocks[-1][1]
 
     monkeypatch.setattr(network, "_normalize_exactly", recording)
-    diag = ForwardDiagnostics()
-    preds = forward_batch(genome, rows, diag)
-    assert exact_blocks == [(100, len(rows) - 2 * tile)]
-    assert diag.degenerate_args == 0
+    preds = forward_batch(genome, rows)
+    assert exact_blocks == [((100, len(rows) - 2 * tile), 0)]
     assert abs(preds[-2] - testkit.oracle_forward(genome, rows[-2])) <= 1e-12
 
 
