@@ -161,9 +161,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _windows(cfg: RunConfig, window: int, training: bool = False):
-    """Parse and aggregate cfg's trace, fit the normalizer on the series and
-    build its lag windows: (params, windows). Training needs a window on each
-    side of the split."""
+    """Parse and aggregate cfg's trace, check that it holds a lag window of
+    `window` values and its target, and fit the normalizer on the series:
+    (params, normalized series). Training needs a window on each side of the
+    split."""
     if not cfg.input:
         raise InputError("--input is required")
     if cfg.pi_minutes < 1:
@@ -174,8 +175,9 @@ def _windows(cfg: RunConfig, window: int, training: bool = False):
             f"aggregated series has {len(series.values)} values; "
             f"training needs at least window + 2 = {window + 2}"
         )
+    dataset.check_windows(len(series.values), window)
     params = dataset.fit_normalizer(series.values)
-    return params, dataset.build_windows(dataset.normalize(series.values, params), window)
+    return params, dataset.normalize(series.values, params)
 
 
 def _run_section(cfg: RunConfig, **extra) -> dict:
@@ -192,21 +194,27 @@ def _metric_dict(actual, predicted, names: list[str]) -> dict:
 FORECAST_COLUMNS = ("index", "split", "actual_normalized", "predicted_normalized")
 
 
-def _forecast_rows(genome, windows, params, split_at: int, head: str = "train") -> dict:
-    """Forecast columns: one entry per window target, then one extrapolated
-    step past the series end, and the normalizer that scales them back. The
-    first `split_at` targets are labelled `head`, the rest "test".
-    `actual_normalized` stops one entry short, since the extrapolated step
-    has no actual value."""
-    preds_norm = network.forward_batch(genome, windows.inputs)
-    # Window ending at the last known value predicts one step past the series.
-    tail = np.concatenate([windows.inputs[-1][1:], [windows.targets[-1]]])
-    n, x = windows.window_size, len(windows)
+def _forecast_rows(genome, normalized: np.ndarray, window: int, params, split_at: int, head: str = "train") -> dict:
+    """Forecast columns of a normalized series: one entry per value after the
+    first `window`, each predicted from the `window` values before it, then
+    one extrapolated step past the series end, and the normalizer that scales
+    them back. The first `split_at` targets are labelled `head`, the rest
+    "test". `actual_normalized` stops one entry short, since the extrapolated
+    step has no actual value.
+
+    The series without its last value has exactly the targets' windows, so
+    `network.forward_series` over it keeps `forward_batch`'s tiles and bits
+    over the lag matrix, which is never made. The extrapolated step stays a
+    one-row call of its own, as its bits come from one.
+    """
+    x = len(normalized) - window
     return {
-        "index": range(n, n + x + 1),
+        "index": range(window, window + x + 1),
         "split": [head] * split_at + ["test"] * (x - split_at) + ["future"],
-        "actual_normalized": windows.targets,
-        "predicted_normalized": np.append(preds_norm, network.forward(genome, tail)),
+        "actual_normalized": normalized[window:],
+        "predicted_normalized": np.append(
+            network.forward_series(genome, normalized[:-1]), network.forward(genome, normalized[-window:])
+        ),
         "params": params,
     }
 
@@ -289,16 +297,16 @@ def _write_json(payload: dict, path: Path) -> None:
 def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
     training_config = cfg.training_config()
     names = cfg.selected_metrics()
-    params, windows = _windows(cfg, cfg.window, training=True)
-    train_ds, test_ds = dataset.split(windows, cfg.train_frac)
+    params, normalized = _windows(cfg, cfg.window, training=True)
+    train_ds, test_ds = dataset.split(dataset.build_windows(normalized, cfg.window), cfg.train_frac)
     best, run = evolve.train(training_config, train_ds, checkpoint_dir=checkpoint_dir)
     evolve.convergence_monitor(run.fitness_trajectory)
 
     # Score the forecast's own predictions: a row's last bits depend on where
     # it falls in forward_batch's row tiles, so a second pass could differ.
-    rows = _forecast_rows(best, windows, params, split_at=len(train_ds))
+    rows = _forecast_rows(best, normalized, cfg.window, params, split_at=len(train_ds))
     predicted = rows["predicted_normalized"]
-    train_pred, test_pred = predicted[: len(train_ds)], predicted[len(train_ds) : len(windows)]
+    train_pred, test_pred = predicted[: len(train_ds)], predicted[len(train_ds) : -1]
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -341,8 +349,8 @@ def cmd_predict(cfg: RunConfig, explicit_window: int | None = None) -> int:
         raise DimensionMismatchError(
             f"window {explicit_window} does not match genome input width {n}"
         )
-    params, windows = _windows(cfg, n)
-    rows = _forecast_rows(genome, windows, params, split_at=len(windows), head="series")
+    params, normalized = _windows(cfg, n)
+    rows = _forecast_rows(genome, normalized, n, params, split_at=len(normalized) - n, head="series")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_forecast_csv(rows, out_dir / "forecast.csv")
@@ -355,8 +363,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
         raise InputError("seeds must be >= 1")
     cfg.training_config()  # usage errors before the data is read
     names = cfg.selected_metrics()
-    params, windows = _windows(cfg, cfg.window, training=True)
-    train_ds, test_ds = dataset.split(windows, cfg.train_frac)
+    _, normalized = _windows(cfg, cfg.window, training=True)
+    train_ds, test_ds = dataset.split(dataset.build_windows(normalized, cfg.window), cfg.train_frac)
     modes = [m.value for m in evolve.TrainingMode]
     seeds = [cfg.seed + k for k in range(cfg.seeds)]
     runs = []
@@ -364,7 +372,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
         for seed in seeds:
             best, run = evolve.train(cfg.training_config(seed=seed, mode=mode), train_ds)
             evolve.convergence_monitor(run.fitness_trajectory)
-            test_pred = network.forward_batch(best, windows.inputs)[len(train_ds) :]
+            # The forecast's test rows: the same function, tiles and bits.
+            test_pred = network.forward_series(best, normalized[:-1])[len(train_ds) :]
             runs.append(
                 {
                     "mode": mode,

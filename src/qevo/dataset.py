@@ -87,16 +87,23 @@ def denormalize(value, params: NormalizationParams):
     return float(raw) if np.isscalar(value) else raw
 
 
-def build_windows(normalized: Sequence[float], window_size: int) -> WindowedDataset:
-    """Build the lag matrix: row i = values[i : i+n], target i = values[i+n]."""
-    values = np.asarray(normalized, dtype=float)
+def check_windows(length: int, window_size: int) -> int:
+    """The window size n as an int, once a series of `length` values is known
+    to give at least one lag window with a target (length >= n + 1)."""
     n = int(window_size)
     if n < 1:
         raise ValueError("window_size must be >= 1")
-    if values.size < n + 1:
+    if length < n + 1:
         raise SeriesTooShortError(
-            f"series of length {values.size} too short for window {n} (need >= {n + 1})"
+            f"series of length {length} too short for window {n} (need >= {n + 1})"
         )
+    return n
+
+
+def build_windows(normalized: Sequence[float], window_size: int) -> WindowedDataset:
+    """Build the lag matrix: row i = values[i : i+n], target i = values[i+n]."""
+    values = np.asarray(normalized, dtype=float)
+    n = check_windows(values.size, window_size)
     windows = np.lib.stride_tricks.sliding_window_view(values, n)
     return WindowedDataset(
         window_size=n, inputs=windows[:-1].copy(), targets=values[n:].copy()

@@ -76,6 +76,11 @@ thread spins beside the one doing the work. A 10-8-8-1 network gets
 1560-row tiles, whose input block and workspace (about 0.7 MB) fit in a 2 MB
 L2 cache.
 
+`forward_series` runs that tile loop over every lag window of a normalized
+series. It encodes each value once and copies each tile's input block from
+row slices of the series' cos and sin, so no window matrix is made; its
+predictions are bit-equal to `forward_batch` over the windows.
+
 Training scores its genomes through `forward_grouped`, untiled: by
 architecture, in chunks whose stacked tables stay under `_CHUNK_BYTES`, each
 chunk's matrices made by one `_matrices` call and its workspace views once.
@@ -488,26 +493,57 @@ def forward_grouped(genomes: list[NetworkGenome], states: np.ndarray):
             del made  # before the next chunk's matrices are made
 
 
-def forward_batch(genome: NetworkGenome, rows: np.ndarray) -> np.ndarray:
-    """Predict one normalized value in [0, 1] per input row.
+def _tiled(genome: NetworkGenome, count: int, states) -> np.ndarray:
+    """`count` predictions of `genome`, made in tiles of `_plan(...).tile_rows`
+    rows, whose products are too small for OpenBLAS to split over threads, so
+    the predictions do not depend on its thread count. `states(start, stop)`
+    gives rows start..stop's input states. The genome's matrices are made
+    once, in a `_Stack` every tile's `forward_states` call is given."""
+    plan = _plan(genome.architecture)
+    preds = np.empty(count)
+    stack = _Stack(plan, [genome.phases]), 0
+    # At least one pass, so zero rows of the wrong width still raise.
+    for start in range(0, max(count, 1), plan.tile_rows):
+        stop = min(start + plan.tile_rows, count)
+        preds[start:stop] = forward_states(genome, states(start, stop), stack)[0]
+    return preds
 
-    The rows pass through `input_states` and `forward_states` in tiles of
-    `_plan(...).tile_rows`, whose products are too small for OpenBLAS to
-    split over threads, so the predictions do not depend on its thread count.
-    The genome's matrices are made once, in a `_Stack` every tile's
-    `forward_states` call is given.
-    """
+
+def forward_batch(genome: NetworkGenome, rows: np.ndarray) -> np.ndarray:
+    """Predict one normalized value in [0, 1] per input row, through
+    `input_states` and `forward_states` tile by tile (`_tiled`)."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise DimensionMismatchError(f"expected 2-d input matrix, got shape {rows.shape}")
-    plan = _plan(genome.architecture)
-    preds = np.empty(rows.shape[0])
-    stack = _Stack(plan, [genome.phases]), 0
-    # At least one pass, so zero rows of the wrong width still raise.
-    for start in range(0, max(rows.shape[0], 1), plan.tile_rows):
-        stop = start + plan.tile_rows
-        preds[start:stop] = forward_states(genome, input_states(rows[start:stop]), stack)[0]
-    return preds
+    return _tiled(genome, rows.shape[0], lambda start, stop: input_states(rows[start:stop]))
+
+
+def forward_series(genome: NetworkGenome, series) -> np.ndarray:
+    """Predict one normalized value per row of `sliding_window_view(series,
+    input_width)`, bit for bit as `forward_batch` over those rows: numpy's
+    cos and sin give the contiguous series the bits they give strided window
+    rows, which a property test checks. Each tile's input block, laid out as
+    `input_states` lays it out, is copied into one buffer all tiles reuse."""
+    series = np.asarray(series, dtype=float)
+    n = genome.architecture.input_width
+    if series.ndim != 1 or series.size < n:
+        raise DimensionMismatchError(
+            f"expected a 1-d series of at least {n} values, got shape {series.shape}"
+        )
+    count = series.size - n + 1
+    phases = encode_input(series)
+    # lags[0][i] is the cos of window i's n values, lags[1][i] their sin.
+    lags = [np.lib.stride_tricks.sliding_window_view(plane(phases), n) for plane in (np.cos, np.sin)]
+    buffer = np.empty((2 * n + 1) * min(count, _plan(genome.architecture).tile_rows))
+
+    def states(start: int, stop: int) -> np.ndarray:
+        block = buffer[: (2 * n + 1) * (stop - start)].reshape(2 * n + 1, -1)
+        np.copyto(block[:n], lags[0][start:stop].T)
+        np.copyto(block[n : 2 * n], lags[1][start:stop].T)
+        block[2 * n] = -1.0
+        return block.T
+
+    return _tiled(genome, count, states)
 
 
 def forward(genome: NetworkGenome, normalized_row) -> float:

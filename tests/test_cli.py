@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevo import dataset, evolve, network, trace_io
+from qevo import dataset, evolve, metrics, network, trace_io
 from qevo.cli import (
     _CONFIG_KEYS, FORECAST_COLUMNS, FORECAST_SCHEMA, RunConfig, _parse_bool, build_parser, load_config_file, main,
     read_forecast_csv, write_forecast_csv,
@@ -150,6 +150,38 @@ def test_report_scores_the_forecast_rows_bit_for_bit(tmp_path):
     assert {k: full[k] for k in report["metrics"]["test"]} == report["metrics"]["test"]
 
 
+def test_ablate_scores_each_run_as_forward_batch_over_the_lag_matrix(tmp_path, monkeypatch):
+    # ablate slices its test predictions from the forecast's series path; the
+    # reference is the lag matrix through forward_batch, cut at the split.
+    # 1990 windows of a 10-9-1 network cross a tile edge at 1387 rows.
+    trace = tmp_path / "trace.csv"
+    write_trace_csv(trace, 10 + sine_series(0, 2000))
+    options = {
+        "--window": "10", "--population": "4", "--generations": "1", "--seed": "0",
+        "--hidden-min": "9", "--hidden-max": "9", "--depth-max": "1",
+    }
+    bests, inner = [], evolve.train
+
+    def recording(config, train_data, **kwargs):
+        best, run = inner(config, train_data, **kwargs)
+        bests.append(best)
+        return best, run
+
+    monkeypatch.setattr(evolve, "train", recording)
+    out = tmp_path / "ablation"
+    assert main(["ablate", *train_args(trace, out, **options)[1:], "--seeds", "2"]) == 0
+    runs = json.loads((out / "ablation.json").read_text())["runs"]
+
+    series = trace_io.aggregate(trace_io.parse_trace(trace, trace_io.TraceFormat()), 1)
+    windows = dataset.build_windows(dataset.normalize(series.values, dataset.fit_normalizer(series.values)), 10)
+    train_ds, test_ds = dataset.split(windows, 0.6)
+    assert len(bests) == len(runs) == 6
+    assert network._plan(bests[0].architecture).tile_rows < len(windows)
+    for best, run in zip(bests, runs):
+        expected = metrics.evaluate(test_ds.targets, network.forward_batch(best, windows.inputs)[len(train_ds) :])
+        assert {k: run[k] for k in expected} == expected
+
+
 def test_predict_window_mismatch(trace_file, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(train_args(trace_file, out)) == 0
@@ -178,21 +210,25 @@ def test_predict_checks_a_config_file_window(trace_file, tmp_path, capsys):
     assert main([*args, "--window", "5"]) == 0  # the flag wins over the file
 
 
-def test_predict_series_too_short(trace_file, tmp_path):
+def test_predict_series_too_short(trace_file, tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(train_args(trace_file, out)) == 0
+    assert main(train_args(trace_file, out)) == 0  # a width-5 genome
     short = tmp_path / "short.csv"
-    write_trace_csv(short, positive_trace(1, points=4))
-    code = main(
-        [
-            "predict",
-            "--genome", str(out / "genome.bin"),
-            "--input", str(short),
-            "--pi-minutes", "1",
-            "--out-dir", str(tmp_path / "pred"),
-        ]
-    )
-    assert code == 1
+
+    def predict(points):
+        write_trace_csv(short, positive_trace(1, points=points))
+        args = ["predict", "--genome", str(out / "genome.bin"), "--input", str(short), "--pi-minutes", "1"]
+        return main([*args, "--out-dir", str(tmp_path / "pred")])
+
+    capsys.readouterr()
+    assert predict(4) == 1
+    assert capsys.readouterr().err == "error: series of length 4 too short for window 5 (need >= 6)\n"
+    assert not (tmp_path / "pred").exists()
+    # window + 1 values: one window with its target, then the extrapolated step.
+    assert predict(6) == 0
+    rows = read_forecast_csv(tmp_path / "pred" / "forecast.csv")
+    assert [(r["index"], r["split"]) for r in rows] == [(5, "series"), (6, "future")]
+    assert rows[0]["actual"] == pytest.approx(positive_trace(1, points=6)[5], rel=1e-12)
 
 
 def test_predict_on_a_sparse_trace_is_usage_error(tmp_path, capsys):

@@ -549,6 +549,61 @@ def test_forward_batch_makes_the_matrices_once_for_all_its_tiles(monkeypatch):
     assert len(made) == 2
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    window=st.integers(1, 12),
+    hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    edge=st.sampled_from([-1, 0, 1]),
+    specials=st.lists(st.sampled_from([0.0, -0.0, 1.0]), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_series_matches_forward_batch_over_its_windows(window, hidden, edge, specials, seed):
+    # tile_rows - 1, tile_rows or tile_rows + 1 windows: a row's last bits
+    # depend on its place in the tiles, and numpy's cos and sin must give the
+    # contiguous series the bits they give the strided window rows.
+    arch = Architecture(window, tuple(hidden))
+    rng = np.random.default_rng(seed)
+    genome = random_genome(arch, rng)
+    series = rng.random(network._plan(arch).tile_rows + edge + window - 1)
+    series[rng.choice(series.size, len(specials), replace=False)] = specials
+    windows = np.lib.stride_tricks.sliding_window_view(series, window)
+    assert network.forward_series(genome, series).tobytes() == forward_batch(genome, windows).tobytes()
+
+
+def test_forward_series_runs_forward_batchs_tiles_through_the_module_attribute(monkeypatch):
+    # perfbench's tracer counts rows from forward_states' second positional
+    # argument, read through the module attribute.
+    rng = np.random.default_rng(25)
+    genome = random_genome(TILED, rng)
+    series = rng.random(5 * TILE // 2 + TILED.input_width - 1)
+    windows = np.lib.stride_tricks.sliding_window_view(series, TILED.input_width)
+    calls, inner = [], network.forward_states
+
+    def recording(*args, **kwargs):
+        calls.append((args[0], args[1].copy(), args[1].T.flags.c_contiguous, len(args), kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(network, "forward_states", recording)
+    network.forward_series(genome, series)
+    series_calls = calls[:]
+    calls.clear()
+    forward_batch(genome, windows)
+    tiles = _tiles(len(windows), TILE)
+    assert len(series_calls) == len(calls) == len(tiles) == 3
+    for (g, states, c_block, positional, kwargs), batch_call, tile in zip(series_calls, calls, tiles):
+        assert g is genome and positional == 3 and kwargs == {} and c_block
+        assert states.shape == batch_call[1].shape == (tile.stop - tile.start, 2 * TILED.input_width + 1)
+        assert states.tobytes() == input_states(windows[tile]).tobytes()
+
+
+def test_forward_series_needs_a_1d_series_of_a_window():
+    genome = random_genome(Architecture(3, (2,)), np.random.default_rng(0))
+    assert network.forward_series(genome, [0.1, 0.2, 0.3]).shape == (1,)
+    for bad in ([0.1, 0.2], [[0.1, 0.2, 0.3]]):
+        with pytest.raises(DimensionMismatchError):
+            network.forward_series(genome, bad)
+
+
 def test_grouped_chunks_stay_within_the_byte_budget(monkeypatch):
     # Chunks stack each genome's angles, 4n-entry table and gathered
     # matrices; a genome whose own tables pass the budget is a chunk alone.
