@@ -88,10 +88,11 @@ def oracle_forward_conditioned(genome: NetworkGenome, row) -> tuple[float, float
 
 def reference_parse_trace(path: str | Path, fmt: TraceFormat) -> tuple[tuple[float, float], ...]:
     """Row-by-row reference for `trace_io.parse_trace`: sorted (timestamp,
-    mean) pairs. Each row is checked as it is read, so the first faulty row
-    raises. Duplicates are averaged with sequential `+=` sums in file order
-    (`sum()` compensates from Python 3.12 on)."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    mean) pairs, read as UTF-8 less a leading byte-order mark. Each row is
+    checked as it is read, so the first faulty row raises. Duplicates are
+    averaged with sequential `+=` sums in file order (`sum()` compensates
+    from Python 3.12 on)."""
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh, delimiter=fmt.delimiter))
     if fmt.header and not rows:
         raise EmptyTraceError(f"no rows in {path}")

@@ -13,6 +13,12 @@ A clean file, every row two finite, non-negative numbers that numpy's text
 reader parses, goes through that reader in one C call. Every other file goes
 through a csv row loop, which alone decides what a bad row is and which row
 index to report. A clean file reads to the same bits on either path.
+
+numpy's reader is given the file's path, not the open handle: from a path it
+reads the file in chunks in C, from a handle one Python string per line. Its
+path opener decompresses by file suffix, so a file named like a compressed
+one goes to the row loop; every trace is read as plain text. Both readers
+decode UTF-8 and drop a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from math import isfinite
+from os.path import splitext
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +45,11 @@ from .errors import (
 # `aggregate` allocates at most this many buckets per occupied bucket, so its
 # memory stays bounded by the number of samples, not by their timestamps.
 MAX_BUCKETS_PER_OCCUPIED = 100
+
+# UTF-8, less a leading byte-order mark (as Excel's "CSV UTF-8" writes).
+ENCODING = "utf-8-sig"
+# The suffixes numpy's path opener decompresses by (`numpy.lib._datasource`).
+COMPRESSED_SUFFIXES = frozenset({".gz", ".bz2", ".xz", ".lzma"})
 
 
 @dataclass(frozen=True)
@@ -115,10 +127,15 @@ def _resolve_column(mapping: str | int, fieldnames: list[str] | None, what: str)
 
 
 def _load_clean_rows(
-    fh, delimiter: str, t_idx: int, v_idx: int
+    path: Path, delimiter: str, t_idx: int, v_idx: int, skiprows: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (times, values) columns of the rest of `fh` in one call to numpy's
-    C reader, or None when the row loop has to read the file.
+    """The (times, values) columns of the file at `path` past its first
+    `skiprows` physical lines, in one call to numpy's C reader, or None when
+    the row loop has to read the file.
+
+    The reader gets the path because only then does it read the file in
+    chunks; from a handle it takes one Python string per line. A path whose
+    suffix numpy would decompress by gives None, as the file is plain text.
 
     The reader splits cells as csv does (quoted cells, no comment syntax) and
     parses them with the `float()` grammar minus underscores and non-ASCII
@@ -127,14 +144,15 @@ def _load_clean_rows(
     it raises (on a faulty or blank row, among others), when it reads no
     rows, and for negative column indexes, which only the row loop resolves.
     """
-    if t_idx < 0 or v_idx < 0:
+    if t_idx < 0 or v_idx < 0 or splitext(path)[1] in COMPRESSED_SUFFIXES:
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             rows = np.loadtxt(
-                fh, delimiter=delimiter, comments=None, quotechar='"',
+                path, delimiter=delimiter, comments=None, quotechar='"',
                 usecols=(t_idx, v_idx), dtype=np.float64, ndmin=2,
+                skiprows=skiprows, encoding=ENCODING,
             )
     except UnicodeDecodeError:
         raise  # the row loop could not read the file either
@@ -182,9 +200,10 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
 
     Rows are sorted by timestamp and duplicate timestamps are averaged, adding
     in file order. Rows that are empty or whose cells are all blank are
-    skipped. Raises FileNotFoundError, InputError for an unknown column, a
-    file that is not UTF-8 or an unreadable header, MalformedRowError (with
-    the 1-based data row index), SampleOverflowError
+    skipped. A leading byte-order mark is dropped, and the file is read as
+    plain text whatever its suffix. Raises FileNotFoundError, InputError for
+    an unknown column, a file that is not UTF-8 or an unreadable header,
+    MalformedRowError (with the 1-based data row index), SampleOverflowError
     when the values of one timestamp sum past the float64 range, or
     EmptyTraceError.
     """
@@ -194,7 +213,7 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
         raise FileNotFoundError(f"trace file not found: {path}")
 
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding=ENCODING) as fh:
             reader = csv.reader(fh, delimiter=fmt.delimiter)
             fieldnames = None
             if fmt.header:
@@ -205,9 +224,10 @@ def parse_trace(path: str | Path, fmt: TraceFormat | None = None) -> RawTrace:
             t_idx = _resolve_column(fmt.timestamp_col, fieldnames, "timestamp")
             v_idx = _resolve_column(fmt.value_col, fieldnames, "value")
 
-            columns = _load_clean_rows(fh, fmt.delimiter, t_idx, v_idx)
+            # line_num counts the physical lines the header took.
+            columns = _load_clean_rows(path, fmt.delimiter, t_idx, v_idx, reader.line_num)
             if columns is None:
-                fh.seek(0)
+                fh.seek(0)  # the decoder skips the byte-order mark again
                 reader = csv.reader(fh, delimiter=fmt.delimiter)
                 if fmt.header:
                     next(reader)

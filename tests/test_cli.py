@@ -125,6 +125,22 @@ def test_predict_matches_training_fits(trace_file, tmp_path):
         assert value == pytest.approx(recorded * (d_max - d_min) + d_min, abs=1e-12)
 
 
+def test_predict_reads_any_trace_name_and_a_byte_order_mark_as_plain_text(trace_file, tmp_path, capsys):
+    assert main(train_args(trace_file, tmp_path / "run")) == 0
+    text = trace_file.read_bytes()
+    copies = {f"trace.csv{suffix}": text for suffix in (".gz", ".bz2", ".xz", ".lzma")}
+    copies["bom.csv"] = "\ufeff".encode() + text
+    forecasts = set()
+    for name, data in {"trace.csv": text, **copies}.items():
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / f"predict-{name}"
+        argv = ["predict", "--genome", str(tmp_path / "run" / "genome.bin"), "--input", str(tmp_path / name),
+                "--pi-minutes", "1", "--out-dir", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        forecasts.add((out / "forecast.csv").read_bytes())
+    assert len(forecasts) == 1
+
+
 def test_report_scores_the_forecast_rows_bit_for_bit(tmp_path):
     # forward_batch's row tiles make a row's last bits depend on its position
     # in the call, so the report must score the forecast's own predictions.

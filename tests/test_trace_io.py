@@ -347,10 +347,16 @@ def trace_rows(draw):
     return [time, value]
 
 
+# Suffixes numpy's path opener decompresses by, and two it opens as text.
+_SUFFIXES = [".csv", ".txt", ".gz", ".bz2", ".xz", ".lzma"]
+_BOM = "\ufeff"
+
+
 @st.composite
 def trace_files(draw):
-    """(text, TraceFormat): a header row or a headerless file read by column
-    index, counted from the start or from the end of the row."""
+    """(text, TraceFormat, file name suffix): a header row or a headerless
+    file read by column index, counted from the start or from the end of the
+    row, some with a leading byte-order mark."""
     delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
     newline = draw(st.sampled_from(["\n", "\r", "\r\n"]))
     swap = draw(st.booleans())
@@ -374,7 +380,10 @@ def trace_files(draw):
             t_col, v_col = t_col - leads - 2, v_col - leads - 2
         fmt = TraceFormat(timestamp_col=t_col, value_col=v_col, delimiter=delimiter, header=False)
     text = newline.join(lines).replace("{d}", delimiter) + draw(st.sampled_from(["", newline]))
-    return text, fmt
+    bom = draw(st.sampled_from(["", _BOM]))
+    # Half the files keep `.csv`, so most still reach numpy's reader.
+    suffix = draw(st.one_of(st.just(".csv"), st.sampled_from(_SUFFIXES)))
+    return bom + text, fmt, suffix
 
 
 def _assert_parses_like_the_reference(path, fmt):
@@ -404,9 +413,9 @@ def _assert_parses_like_the_reference(path, fmt):
 @settings(max_examples=400, deadline=None)
 @given(case=trace_files())
 def test_parse_matches_the_row_by_row_reference(case):
-    text, fmt = case
+    text, fmt, suffix = case
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trace.csv"
+        path = Path(tmp) / f"trace{suffix}"
         path.write_bytes(text.encode("utf-8"))
         _assert_parses_like_the_reference(path, fmt)
 
@@ -441,22 +450,76 @@ def test_parse_matches_the_reference_where_the_readers_differ(tmp_path, text, fm
     _assert_parses_like_the_reference(path, fmt)
 
 
-def test_a_clean_trace_never_enters_the_row_loop(tmp_path, monkeypatch):
+_PLAIN = "timestamp,value\n0,1\n60,2\n60,4\n120,3\n"
+_PLAIN_SAMPLES = [[0.0, 1.0], [60.0, 3.0], [120.0, 3.0]]
+_NO_HEADER = TraceFormat(timestamp_col=0, value_col=1, header=False)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".csv.gz"])
+def test_a_plain_trace_under_a_compression_suffix_parses_as_text(tmp_path, suffix):
+    # numpy's path opener would decompress these and fail.
+    path = tmp_path / f"t{suffix}"
+    path.write_text(_PLAIN)
+    assert parse_trace(path).samples.tolist() == _PLAIN_SAMPLES
+    _assert_parses_like_the_reference(path, TraceFormat())
+
+
+def test_the_compression_suffixes_cover_numpys_path_opener():
+    opened_by_suffix = set(np.lib._datasource._file_openers.keys()) - {None}
+    assert opened_by_suffix <= trace_io.COMPRESSED_SUFFIXES
+
+
+@pytest.mark.parametrize(
+    "text, fmt",
+    [(_PLAIN, TraceFormat()), (_PLAIN.split("\n", 1)[1], _NO_HEADER)],
+    ids=["header", "no header"],
+)
+def test_parse_drops_a_leading_byte_order_mark(tmp_path, text, fmt):
+    path = tmp_path / "t.csv"
+    path.write_bytes((_BOM + text).encode("utf-8"))
+    assert parse_trace(path, fmt).samples.tolist() == _PLAIN_SAMPLES
+    _assert_parses_like_the_reference(path, fmt)
+    # The row loop reads the file again from its start, past the mark.
+    path.write_bytes((_BOM + text + "180,x\n").encode("utf-8"))
+    with pytest.raises(MalformedRowError) as excinfo:
+        parse_trace(path, fmt)
+    assert excinfo.value.row_index == 5
+
+
+_BY_INDEX_AFTER_LEADS = TraceFormat(timestamp_col=2, value_col=3)
+
+
+@pytest.mark.parametrize(
+    "head, fmt, lead",
+    [
+        ("timestamp,value\n", TraceFormat(), ""),
+        # A quoted header name spanning physical lines: numpy's reader skips
+        # the lines the csv header read took, not one.
+        ('"a\nb",c,t,v\n', _BY_INDEX_AFTER_LEADS, "x,y,"),
+        ('"a\rb",c,t,v\n', _BY_INDEX_AFTER_LEADS, "x,y,"),
+        ('"a\r\nb",c,t,v\n', _BY_INDEX_AFTER_LEADS, "x,y,"),
+        ("", _NO_HEADER, ""),
+        (_BOM + "timestamp,value\n", TraceFormat(), ""),
+        (_BOM, _NO_HEADER, ""),
+    ],
+    ids=["header", "quoted LF", "quoted CR", "quoted CRLF", "no header", "BOM", "BOM, no header"],
+)
+def test_a_clean_trace_never_enters_the_row_loop(tmp_path, monkeypatch, head, fmt, lead):
     # predict-long's shape: integer timestamps, some repeated, six-decimal
     # values. A row loop run here would mean the fast path stopped applying.
     rng = np.random.default_rng(9)
     times = np.sort(rng.integers(1_300_000_000, 1_300_600_000, 10_000))
     values = np.round(rng.uniform(0.0, 1.0, times.size), 6)
     path = tmp_path / "t.csv"
-    rows = "".join(f"{t},{v!r}\n" for t, v in zip(times.tolist(), values.tolist()))
-    path.write_text("timestamp,value\n" + rows)
-    expected = testkit.reference_parse_trace(path, TraceFormat())
+    rows = "".join(f"{lead}{t},{v!r}\n" for t, v in zip(times.tolist(), values.tolist()))
+    path.write_bytes((head + rows).encode("utf-8"))
+    expected = testkit.reference_parse_trace(path, fmt)
 
     def row_loop(*args):
         raise AssertionError("the row loop read a clean trace")
 
     monkeypatch.setattr(trace_io, "_read_rows", row_loop)
-    samples = parse_trace(path).samples
+    samples = parse_trace(path, fmt).samples
     assert samples.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
