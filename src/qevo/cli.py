@@ -299,18 +299,18 @@ def cmd_train(cfg: RunConfig, checkpoint_dir: str | None = None) -> int:
     names = cfg.selected_metrics()
     params, normalized = _windows(cfg, cfg.window, training=True)
     train_ds, test_ds = dataset.split(dataset.build_windows(normalized, cfg.window), cfg.train_frac)
-    best, run = evolve.train(training_config, train_ds, checkpoint_dir=checkpoint_dir)
+    run = evolve.train(training_config, train_ds, checkpoint_dir=checkpoint_dir)
     evolve.convergence_monitor(run.fitness_trajectory)
 
     # Score the forecast's own predictions: a row's last bits depend on where
     # it falls in forward_batch's row tiles, so a second pass could differ.
-    rows = _forecast_rows(best, normalized, cfg.window, params, split_at=len(train_ds))
+    rows = _forecast_rows(run.best, normalized, cfg.window, params, split_at=len(train_ds))
     predicted = rows["predicted_normalized"]
     train_pred, test_pred = predicted[: len(train_ds)], predicted[len(train_ds) : -1]
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    network.save_genome(best, out_dir / "genome.bin")
+    network.save_genome(run.best, out_dir / "genome.bin")
     write_forecast_csv(rows, out_dir / "forecast.csv")
     payload = {
         "schema": REPORT_SCHEMA,
@@ -370,10 +370,10 @@ def cmd_ablate(cfg: RunConfig) -> int:
     runs = []
     for mode in modes:
         for seed in seeds:
-            best, run = evolve.train(cfg.training_config(seed=seed, mode=mode), train_ds)
+            run = evolve.train(cfg.training_config(seed=seed, mode=mode), train_ds)
             evolve.convergence_monitor(run.fitness_trajectory)
             # The forecast's test rows: the same function, tiles and bits.
-            test_pred = network.forward_series(best, normalized[:-1])[len(train_ds) :]
+            test_pred = network.forward_series(run.best, normalized[:-1])[len(train_ds) :]
             runs.append(
                 {
                     "mode": mode,

@@ -37,15 +37,14 @@ class NormalizationParams:
 class WindowedDataset:
     """Lag-window inputs (x rows of n values each) and next-step targets."""
 
-    window_size: int
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=float)
         targets = np.asarray(self.targets, dtype=float)
-        if inputs.ndim != 2 or inputs.shape[1] != self.window_size:
-            raise ValueError(f"inputs must be (x, {self.window_size})")
+        if inputs.ndim != 2 or inputs.shape[1] < 1:
+            raise ValueError("inputs must be (x, n) with n >= 1")
         if targets.shape != (inputs.shape[0],):
             raise ValueError("targets length must match input rows")
         if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
@@ -59,6 +58,10 @@ class WindowedDataset:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
+
+    @property
+    def window_size(self) -> int:
+        return self.inputs.shape[1]
 
 
 def fit_normalizer(series: Sequence[float]) -> NormalizationParams:
@@ -105,9 +108,7 @@ def build_windows(normalized: Sequence[float], window_size: int) -> WindowedData
     values = np.asarray(normalized, dtype=float)
     n = check_windows(values.size, window_size)
     windows = np.lib.stride_tricks.sliding_window_view(values, n)
-    return WindowedDataset(
-        window_size=n, inputs=windows[:-1].copy(), targets=values[n:].copy()
-    )
+    return WindowedDataset(inputs=windows[:-1].copy(), targets=values[n:].copy())
 
 
 def split(
@@ -124,8 +125,6 @@ def split(
         raise EmptyPartitionError(f"cannot split {x} rows into two non-empty parts")
     cut = min(max(int(math.floor(x * train_fraction)), 1), x - 1)
     make = lambda lo, hi: WindowedDataset(
-        window_size=dataset.window_size,
-        inputs=dataset.inputs[lo:hi].copy(),
-        targets=dataset.targets[lo:hi].copy(),
+        inputs=dataset.inputs[lo:hi].copy(), targets=dataset.targets[lo:hi].copy()
     )
     return make(0, cut), make(cut, x)

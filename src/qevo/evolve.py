@@ -9,12 +9,13 @@ worse). Each generation's success/failure count per strategy re-derives
 the selection probabilities for the next.
 
 A generation runs in three phases: vary every candidate, evaluate every
-child, then select every survivor. Its outcome is one frozen `TrainingRun`.
-Varying is a draw pass (`draw_terms`, `draw_crossing`), one array pass
-building every perturbed genome (`modulate`), then `recombine` per candidate.
-Evaluating is one call of `train`'s scorer, which runs
-`network.forward_grouped` over the children not scored yet, by architecture
-group. A child that is its candidate reuses its (fitness, degenerate args).
+child, then select every survivor. It ends in one frozen `TrainingRun`, the
+run's whole state, of which `train` returns the last. Varying is a draw
+pass (`draw_terms`, `draw_crossing`), one array pass building every
+perturbed genome (`modulate`), then `recombine` per candidate. Evaluating is
+one call of `train`'s scorer, which runs `network.forward_grouped` over the
+children not scored yet, by architecture group. A child that is its
+candidate reuses its (fitness, degenerate args).
 
 Determinism: every random draw for candidate i in generation g comes from a
 stream seeded by (seed, g, i), so a candidate's step depends on nothing but
@@ -66,24 +67,6 @@ class TrainingMode(str, enum.Enum):
     FIXED_ALL = "fixed-all"    # random initialization only, no operators
 
 
-@dataclass(frozen=True)
-class Population:
-    candidates: list[NetworkGenome]
-    fitness: np.ndarray
-
-    @property
-    def best_index(self) -> int:
-        return int(np.argmin(self.fitness))
-
-    @property
-    def best(self) -> NetworkGenome:
-        return self.candidates[self.best_index]
-
-    @property
-    def best_fitness(self) -> float:
-        return float(self.fitness[self.best_index])
-
-
 # The most phases a population may hold (128 MiB). A run's peak is a few times
 # that: the parents, their perturbed genomes and children, the forward pass's
 # blocks, and the cached forward plans: up to 64 MiB of plans of genomes of
@@ -125,18 +108,19 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class TrainingRun:
-    """Everything a run carries from one generation to the next.
-
-    One frozen record per generation: `train` builds each from the last,
-    saves it as the generation's checkpoint and returns the final one; a
-    resumed run starts from a loaded one as it is. The report's other fields
-    (best fitness, final architectures, population size, generations run)
-    are derived from it.
+    """Everything a run carries from one generation to the next: the
+    candidates, their fitness and the strategy state, in one frozen record
+    per generation. `init_population` builds generation 0's; `train` builds
+    each next one from the last, saves it as the generation's checkpoint and
+    returns the final one; a resumed run starts from a loaded one as it is.
+    The report's other fields (best, final architectures, population size,
+    generations run) are derived from it.
     """
 
     seed: int
-    mode: str
-    population: Population
+    mode: TrainingMode
+    candidates: list[NetworkGenome]
+    fitness: np.ndarray
     fitness_trajectory: tuple[float, ...]
     degenerate_args: int
     probability_trajectory: tuple[tuple[float, float, float], ...] = ()
@@ -153,19 +137,27 @@ class TrainingRun:
         return self.probability_trajectory[-1] if self.probability_trajectory else INITIAL_PROBABILITIES
 
     @property
+    def best_index(self) -> int:
+        return int(np.argmin(self.fitness))
+
+    @property
+    def best(self) -> NetworkGenome:
+        return self.candidates[self.best_index]
+
+    @property
     def best_fitness(self) -> float:
-        return self.population.best_fitness
+        return float(self.fitness[self.best_index])
 
     @property
     def final_architectures(self) -> list[list[int]]:
-        return [list(g.architecture.hidden_widths) for g in self.population.candidates]
+        return [list(g.architecture.hidden_widths) for g in self.candidates]
 
     def to_dict(self) -> dict:
         """The report's "training" section."""
         return {
-            "mode": self.mode,
+            "mode": self.mode.value,
             "seed": self.seed,
-            "population_size": len(self.population.candidates),
+            "population_size": len(self.candidates),
             "generations": self.next_generation - 1,
             "best_fitness": self.best_fitness,
             "fitness_trajectory": self.fitness_trajectory,
@@ -278,12 +270,11 @@ def update_probabilities(successes: list[int], failures: list[int]) -> tuple[flo
 Terms = tuple[int, tuple[tuple[float, int, int], ...]]
 
 
-def draw_terms(strategy: Strategy, index: int, population: Population, best: int, rate: float,
+def draw_terms(strategy: Strategy, index: int, n: int, best: int, rate: float,
                rng: np.random.Generator) -> Terms:
-    """Draw three mutually distinct donors (all != index) for one candidate
-    and return its `Terms`. The base is the first donor for rand-one, the
-    candidate for current-to-best, and the best candidate `best` for best-one."""
-    n = len(population.candidates)
+    """Draw three distinct donors among `n` candidates, none of them `index`,
+    and return candidate `index`'s `Terms`. The base is the first donor for
+    rand-one, the candidate for current-to-best, and `best` for best-one."""
     if n < 4:
         raise PopulationTooSmallError(f"population of {n} cannot supply 3 distinct donors")
     r1, r2, r3 = (j + (j >= index) for j in rng.choice(n - 1, size=3, replace=False).tolist())
@@ -294,7 +285,7 @@ def draw_terms(strategy: Strategy, index: int, population: Population, best: int
     return best, ((rate, r1, r2),)
 
 
-def modulate(population: Population, terms: list[Terms]) -> list[NetworkGenome]:
+def modulate(candidates: list[NetworkGenome], terms: list[Terms]) -> list[NetworkGenome]:
     """Every candidate's perturbed genome, base + sum(c * (a - b)) over its
     `Terms`, in one array pass. A block is a transition's weights, its bias or
     its reversals. In each block the terms add, in order, on the prefix that
@@ -305,7 +296,7 @@ def modulate(population: Population, terms: list[Terms]) -> list[NetworkGenome]:
     def runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:  # each [start, start + length), in turn
         return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
-    archs = [g.architecture for g in population.candidates]
+    archs = [g.architecture for g in candidates]
     depth = max(a.depth for a in archs)
     widths = np.array([a.widths + (0,) * (depth + 1 - a.depth) for a in archs])
     # Each genome's block lengths in order (0 past its last; no bias into the
@@ -313,7 +304,7 @@ def modulate(population: Population, terms: list[Terms]) -> list[NetworkGenome]:
     w_in, w_out = widths[:, :-2], widths[:, 1:-1]
     lengths = np.stack((w_in * w_out, w_out * (widths[:, 2:] > 0), w_out), axis=2).reshape(len(archs), -1)
     starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
-    flat = np.concatenate([g.phases for g in population.candidates])
+    flat = np.concatenate([g.phases for g in candidates])
     # Every term as (candidate, its place among the candidate's terms, rate,
     # a, b), and each (candidate, block) pair's shared length: the shortest
     # among the base and its donors.
@@ -459,8 +450,8 @@ def _sample_architecture(config: TrainingConfig, rng: np.random.Generator) -> Ar
     return Architecture(config.window_size, tuple(int(w) for w in widths))
 
 
-def init_population(config: TrainingConfig, score) -> tuple[Population, int]:
-    """Generation-0 population: sampled architectures (one shared architecture
+def init_population(config: TrainingConfig, score) -> TrainingRun:
+    """Generation 0's record: sampled architectures (one shared architecture
     in the fixed modes), random genomes, scored in one `score` call, which
     maps a list of genomes to their (fitness, degenerate args), as `train`'s
     scorer does."""
@@ -473,48 +464,48 @@ def init_population(config: TrainingConfig, score) -> tuple[Population, int]:
         candidates.append(network.random_genome(arch, rng))
     results = score(candidates)
     fitness = np.array([fit for fit, _ in results])
-    degenerate = sum(deg for _, deg in results)
-    return Population(candidates, fitness), degenerate
+    return TrainingRun(config.seed, config.mode, candidates, fitness, (float(fitness.min()),),
+                       sum(deg for _, deg in results))
 
 
 _CHECKPOINT_SCHEMA = "qevo.checkpoint/2"
+# What a checkpoint stores of `TrainingRun.to_dict()`; the population follows, genome by genome.
+_CHECKPOINT_KEYS = ("seed", "mode", "fitness_trajectory", "probability_trajectory", "success_totals", "degenerate_args")
 
 
 def save_checkpoint(run: TrainingRun, path: str | Path) -> None:
     payload = {
         "schema": _CHECKPOINT_SCHEMA,
-        "seed": run.seed,
-        "mode": run.mode,
-        "fitness_trajectory": run.fitness_trajectory,
-        "probability_trajectory": run.probability_trajectory,
-        "success_totals": run.success_totals,
-        "degenerate_args": run.degenerate_args,
+        **{k: v for k, v in run.to_dict().items() if k in _CHECKPOINT_KEYS},
         "population": [
-            {
-                "genome": base64.b64encode(network.genome_to_bytes(g)).decode("ascii"),
-                "fitness": float(f),
-            }
-            for g, f in zip(run.population.candidates, run.population.fitness)
+            {"genome": base64.b64encode(network.genome_to_bytes(g)).decode("ascii"), "fitness": float(f)}
+            for g, f in zip(run.candidates, run.fitness)
         ],
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def _numbers(values: list, kind: type, length: int | None = None) -> list:
+def _numbers(values: list, kind: type, length: int | None = None, top: float = math.inf) -> list:
     """`values` as `kind`s; TypeError unless every one is a JSON number
-    (an integer where `kind` is int) and there are `length` of them."""
+    (an integer where `kind` is int) and there are `length` of them, and
+    ValueError unless every one is finite and in [0, top]."""
     allowed = (int, float) if kind is float else int
     if (length is not None and len(values) != length) or any(
         isinstance(v, bool) or not isinstance(v, allowed) for v in values
     ):
         raise TypeError(f"expected {length or 'a list of'} {kind.__name__} values, got {values!r}")
-    return [kind(v) for v in values]
+    numbers = [kind(v) for v in values]
+    for v in numbers:
+        if not 0 <= v <= top or v == math.inf:
+            raise ValueError(f"expected finite values in [0, {top}], got {v}")
+    return numbers
 
 
 def load_checkpoint(path: str | Path) -> TrainingRun:
     """Read a `save_checkpoint` file. Another schema, a missing key, a value of
-    the wrong type, bad base64, a bad genome, an empty population or fitness
-    trajectory, a probability trajectory not one entry per varied generation,
+    the wrong type, a negative or non-finite number, a probability above 1,
+    bad base64, a bad genome, an empty population or fitness trajectory, a
+    rising one, a probability trajectory not one entry per varied generation,
     or a last fitness not the population's best raises CheckpointFormatError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -533,35 +524,33 @@ def load_checkpoint(path: str | Path) -> TrainingRun:
         names = [s.value for s in STRATEGIES]
         run = TrainingRun(
             seed=seed,
-            mode=TrainingMode(payload["mode"]).value,
-            population=Population(candidates, fitness),
+            mode=TrainingMode(payload["mode"]),
+            candidates=candidates,
+            fitness=fitness,
             fitness_trajectory=tuple(_numbers(payload["fitness_trajectory"], float)),
-            probability_trajectory=tuple(tuple(_numbers(p, float, 3)) for p in payload["probability_trajectory"]),
+            probability_trajectory=tuple(tuple(_numbers(p, float, 3, 1.0)) for p in payload["probability_trajectory"]),
             success_totals=dict(zip(names, _numbers([payload["success_totals"][n] for n in names], int))),
             degenerate_args=degenerate,
         )
         if not candidates or not run.fitness_trajectory:
             raise ValueError("empty population or fitness trajectory")
-        varied = 0 if run.mode == TrainingMode.FIXED_ALL else run.next_generation - 1
+        varied = 0 if run.mode is TrainingMode.FIXED_ALL else run.next_generation - 1
         if len(run.probability_trajectory) != varied:
             raise ValueError(f"probability trajectory of {len(run.probability_trajectory)} entries "
                              f"after {varied} varied generations")
         if run.fitness_trajectory[-1] != run.best_fitness:
             raise ValueError(f"last fitness {run.fitness_trajectory[-1]} is not the best {run.best_fitness}")
+        convergence_monitor(run.fitness_trajectory)
         return run
-    except (KeyError, TypeError, ValueError, GenomeFormatError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, GenomeFormatError, MonotonicityViolationError) as exc:
         raise CheckpointFormatError(f"bad checkpoint {path}: {exc}") from exc
 
 
 def _check_resume(resume: TrainingRun, config: TrainingConfig) -> None:
     """Raise CheckpointFormatError unless `resume` belongs to `config`'s run."""
     expected = (config.seed, config.mode.value, config.population_size, {config.window_size})
-    found = (
-        resume.seed,
-        resume.mode,
-        len(resume.population.candidates),
-        {g.architecture.input_width for g in resume.population.candidates},
-    )
+    found = (resume.seed, resume.mode.value, len(resume.candidates),
+             {g.architecture.input_width for g in resume.candidates})
     if found != expected or not 1 <= resume.next_generation <= config.generations + 1:
         raise CheckpointFormatError(
             f"checkpoint (seed, mode, population, input widths) {found} at generation "
@@ -573,35 +562,34 @@ def _check_resume(resume: TrainingRun, config: TrainingConfig) -> None:
 def _step(run: TrainingRun, gen: int, score) -> TrainingRun:
     """Generation `gen` of `run`. Its children live only in this call, so
     none is held while the next generation is varied."""
-    population = run.population
     # Vary: each stream draws its candidate's strategy, rate, donors and
     # crossing (a perturbed genome has its base's architecture); one pass
     # perturbs every candidate, then each recombines with its perturbed genome.
-    best, strategies, terms, crossings = population.best_index, [], [], []
-    for i, rng in enumerate(_streams(run.seed, gen, range(len(population.candidates)))):
+    candidates, n = run.candidates, len(run.candidates)
+    best, strategies, terms, crossings = run.best_index, [], [], []
+    for i, rng in enumerate(_streams(run.seed, gen, range(n))):
         strategies.append(select_strategy(float(rng.random()), run.probabilities))
         rate = sample_modulation_rate(rng)
-        terms.append(draw_terms(strategies[-1], i, population, best, rate, rng))
-        parent, base = population.candidates[i], population.candidates[terms[-1][0]]
-        crossings.append(draw_crossing(parent.architecture, base.architecture, rng))
-    pairs = [recombine(*crossed) for crossed in zip(population.candidates, modulate(population, terms), crossings)]
+        terms.append(draw_terms(strategies[-1], i, n, best, rate, rng))
+        crossings.append(draw_crossing(candidates[i].architecture, candidates[terms[-1][0]].architecture, rng))
+    pairs = [recombine(*crossed) for crossed in zip(candidates, modulate(candidates, terms), crossings)]
     del crossings  # and their pads, before the children are scored
     # Evaluate: a child that is its candidate reuses the candidate's score.
     scored = score([child for pair in pairs for child in pair])
     # Select: elitist adoption and each strategy's successes and failures.
-    candidates, fitness = [], np.empty(len(pairs))
+    survivors, fitness = [], np.empty(n)
     successes, failures = [0, 0, 0], [0, 0, 0]
     for i, (strategy, pair) in enumerate(zip(strategies, pairs)):
         genome, fitness[i], succeeded = select_survivor(
-            (population.candidates[i], float(population.fitness[i])),
+            (candidates[i], float(run.fitness[i])),
             [(child, fit) for child, (fit, _) in zip(pair, scored[2 * i : 2 * i + 2])],
         )
-        candidates.append(genome)
+        survivors.append(genome)
         (successes if succeeded else failures)[STRATEGIES.index(strategy)] += 1
     return replace(
-        run, population=Population(candidates, fitness),
+        run, candidates=survivors, fitness=fitness,
         probability_trajectory=(*run.probability_trajectory, update_probabilities(successes, failures)),
-        success_totals={s.value: run.success_totals[s.value] + n for s, n in zip(STRATEGIES, successes)},
+        success_totals={s.value: run.success_totals[s.value] + k for s, k in zip(STRATEGIES, successes)},
         degenerate_args=run.degenerate_args + sum(deg for _, deg in scored),
     )
 
@@ -612,12 +600,13 @@ def train(
     *,
     checkpoint_dir: str | Path | None = None,
     resume: TrainingRun | None = None,
-) -> tuple[NetworkGenome, TrainingRun]:
-    """Run the training loop; return the best genome and the run record.
+) -> TrainingRun:
+    """Run the training loop; return the last generation's record, whose
+    `best` is the trained genome and whose `to_dict()` is the report's
+    "training" section.
 
     Fitness is the RMSE of a genome's predictions over `train_data`, whose
-    input states are encoded once and shared by every genome. The record's
-    `to_dict()` is the report's "training" section.
+    input states are encoded once and shared by every genome.
     `checkpoint_dir` (created first, parents included) receives the record
     after every generation as `checkpoint_gen<g>.json`. `resume` (a
     `load_checkpoint` result) continues from that record and reproduces the
@@ -638,11 +627,7 @@ def train(
         return [known[id(g)][1] for g in genomes]
 
     if resume is None:
-        population, degenerate = init_population(config, score)
-        run = TrainingRun(
-            config.seed, config.mode.value, population, (population.best_fitness,), degenerate
-        )
-        del population  # `run` alone holds generation 0, so a genome goes once it is replaced
+        run = init_population(config, score)
     else:
         _check_resume(resume, config)
         run = resume
@@ -650,12 +635,12 @@ def train(
     for gen in range(run.next_generation, config.generations + 1):
         if config.mode is not TrainingMode.FIXED_ALL:
             run = _step(run, gen, score)
-            known = {id(g): known[id(g)] for g in run.population.candidates if id(g) in known}
+            known = {id(g): known[id(g)] for g in run.candidates if id(g) in known}
         run = replace(run, fitness_trajectory=(*run.fitness_trajectory, run.best_fitness))
         if checkpoint_dir is not None:
             save_checkpoint(run, checkpoint_dir / f"checkpoint_gen{gen:04d}.json")
 
-    return run.population.best, run
+    return run
 
 
 def convergence_monitor(trajectory: list[float]) -> None:

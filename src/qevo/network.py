@@ -13,8 +13,12 @@ matrix per transition between layer widths w_in -> w_out. Rows 0..w_in-1
 are the weights (row i, column j connects source i to destination j); a
 hidden destination adds a bias row; the last row holds the destinations'
 reversal parameters. The output transition has no bias row. `genome_length`
-and `transitions` state this layout, and every other module reads it through
-them; `NetworkGenome.transitions` keeps a genome's views once made.
+and `transitions` state this layout; `NetworkGenome.transitions` keeps a
+genome's views once made. Three places restate it: `evolve.TrainingConfig`'s
+closed-form length of the largest genome, which must not loop over a
+user-given depth; `evolve.modulate`'s block-length table, one array over
+every candidate at once; and `testkit`'s oracle, which is independent by
+design.
 
 `forward_states` evaluates the same map without per-row trigonometry. With
 the gate phase g = exp(i*(pi/2)*sigmoid(rho)), the next state is

@@ -50,11 +50,10 @@ def full_runs(sine_splits):
     started = time.perf_counter()
     for seed in SEEDS:
         train_ds, test_ds = sine_splits[seed]
-        best, report = train(TrainingConfig(seed=seed), train_ds)
+        report = train(TrainingConfig(seed=seed), train_ds)
         runs[seed] = {
-            "best": best,
             "report": report,
-            "test_rmse": _test_rmse(best, test_ds),
+            "test_rmse": _test_rmse(report.best, test_ds),
         }
     runs["elapsed"] = time.perf_counter() - started
     return runs
@@ -121,7 +120,7 @@ def test_criterion_03_elitist_monotonicity():
             population_size=6, generations=5, window_size=4,
             hidden_range=(2, 4), depth_range=(1, 2), seed=seed,
         )
-        _, report = train(config, windows)
+        report = train(config, windows)
         diffs = np.diff(report.fitness_trajectory)
         assert (diffs <= 0).all(), f"fitness rose on case {case}: {report.fitness_trajectory}"
         evolve.convergence_monitor(report.fitness_trajectory)  # raises on violation
@@ -229,8 +228,8 @@ def test_criterion_09_ablation_direction(sine_splits, full_runs):
         train_ds, test_ds = sine_splits[seed]
         results["full"].append(full_runs[seed]["test_rmse"])
         for mode in ("fixed-arch", "fixed-all"):
-            best, _ = train(TrainingConfig(seed=seed, mode=TrainingMode(mode)), train_ds)
-            results[mode].append(_test_rmse(best, test_ds))
+            run = train(TrainingConfig(seed=seed, mode=TrainingMode(mode)), train_ds)
+            results[mode].append(_test_rmse(run.best, test_ds))
     medians = {mode: float(np.median(vals)) for mode, vals in results.items()}
     assert medians["full"] <= medians["fixed-arch"] <= medians["fixed-all"], medians
     wins = sum(f < fa for f, fa in zip(results["full"], results["fixed-all"]))
@@ -278,8 +277,8 @@ def test_criterion_11_real_trace_quality():
     params = dataset.fit_normalizer(series.values)
     windows = dataset.build_windows(dataset.normalize(series.values, params), 10)
     train_ds, test_ds = dataset.split(windows, 0.6)
-    best, _ = train(TrainingConfig(seed=0), train_ds)
-    score = _test_rmse(best, test_ds)
+    run = train(TrainingConfig(seed=0), train_ds)
+    score = _test_rmse(run.best, test_ds)
     assert score <= 0.10
     _passed(f"criterion 11: real-trace normalized test RMSE {score:.4f} <= 0.10")
 

@@ -179,9 +179,9 @@ def test_ablate_scores_each_run_as_forward_batch_over_the_lag_matrix(tmp_path, m
     bests, inner = [], evolve.train
 
     def recording(config, train_data, **kwargs):
-        best, run = inner(config, train_data, **kwargs)
-        bests.append(best)
-        return best, run
+        run = inner(config, train_data, **kwargs)
+        bests.append(run.best)
+        return run
 
     monkeypatch.setattr(evolve, "train", recording)
     out = tmp_path / "ablation"
@@ -434,8 +434,8 @@ def test_train_and_ablate_report_a_rising_best_fitness(trace_file, tmp_path, mon
     real_train = evolve.train
 
     def rising(*args, **kwargs):
-        best, run = real_train(*args, **kwargs)
-        return best, replace(run, fitness_trajectory=(*run.fitness_trajectory, run.fitness_trajectory[-1] + 1.0))
+        run = real_train(*args, **kwargs)
+        return replace(run, fitness_trajectory=(*run.fitness_trajectory, run.fitness_trajectory[-1] + 1.0))
 
     monkeypatch.setattr(evolve, "train", rising)
     for command, extra in (("train", []), ("ablate", ["--seeds", "1"])):

@@ -98,4 +98,4 @@ def test_split_preserves_rows_and_order():
 
 def test_windowed_dataset_rejects_out_of_range():
     with pytest.raises(ValueError):
-        dataset.WindowedDataset(window_size=1, inputs=np.array([[1.5]]), targets=np.array([0.5]))
+        dataset.WindowedDataset(inputs=np.array([[1.5]]), targets=np.array([0.5]))

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import re
 
 import numpy as np
@@ -16,7 +17,6 @@ from qevo.errors import (
 from qevo.evolve import (
     MAX_POPULATION_PHASES,
     STRATEGIES,
-    Population,
     Strategy,
     TrainingConfig,
     TrainingMode,
@@ -40,11 +40,6 @@ from conftest import sine_series
 
 def const_genome(arch, value):
     return NetworkGenome(arch, np.full(genome_length(arch), float(value)))
-
-
-def make_population(genomes, fitness=None):
-    fitness = np.array(fitness if fitness is not None else [1.0] * len(genomes))
-    return Population(candidates=list(genomes), fitness=fitness)
 
 
 def tiny_dataset(seed=0, points=120, window=5):
@@ -119,16 +114,16 @@ def test_update_probabilities_simplex():
 
 def test_blockwise_difference_arithmetic():
     arch = Architecture(1, (1,))
-    pop = make_population([const_genome(arch, v) for v in (1.0, 2.0, 1.0)])
-    (out,) = modulate(pop, [(0, ((0.5, 1, 2),))])
+    genomes = [const_genome(arch, v) for v in (1.0, 2.0, 1.0)]
+    (out,) = modulate(genomes, [(0, ((0.5, 1, 2),))])
     assert np.allclose(out.phases, 1.5)
 
 
 def test_modulate_rand_one_uses_donor_base():
     arch = Architecture(1, (1,))
-    pop = make_population([const_genome(arch, 1.0)] + [const_genome(arch, 2.0)] * 3)
-    terms = draw_terms(Strategy.RAND_ONE, 0, pop, pop.best_index, 0.7, np.random.default_rng(0))
-    (delta,) = modulate(pop, [terms])
+    genomes = [const_genome(arch, 1.0)] + [const_genome(arch, 2.0)] * 3
+    terms = draw_terms(Strategy.RAND_ONE, 0, len(genomes), 0, 0.7, np.random.default_rng(0))
+    (delta,) = modulate(genomes, [terms])
     # all donors equal, so the difference term vanishes and the base is r1
     assert np.allclose(delta.phases, 2.0)
 
@@ -136,20 +131,17 @@ def test_modulate_rand_one_uses_donor_base():
 def test_modulate_current_to_best_fixed_point():
     arch = Architecture(2, (2,))
     g = random_genome(arch, np.random.default_rng(1))
-    pop = make_population([g] * 5)
-    terms = draw_terms(Strategy.CURRENT_TO_BEST, 0, pop, pop.best_index, 0.9, np.random.default_rng(2))
-    (delta,) = modulate(pop, [terms])
+    genomes = [g] * 5
+    terms = draw_terms(Strategy.CURRENT_TO_BEST, 0, len(genomes), 0, 0.9, np.random.default_rng(2))
+    (delta,) = modulate(genomes, [terms])
     assert delta == g
 
 
 def test_modulate_best_one_evaluation():
     arch = Architecture(1, (1,))
-    pop = make_population(
-        [const_genome(arch, 0.0), const_genome(arch, 3.0), const_genome(arch, 3.0),
-         const_genome(arch, 3.0), const_genome(arch, 5.0)],
-        fitness=[1.0, 1.0, 1.0, 1.0, 0.5],
-    )
-    (delta,) = modulate(pop, [(pop.best_index, ((0.999999, 1, 2),))])
+    genomes = [const_genome(arch, 0.0), const_genome(arch, 3.0), const_genome(arch, 3.0),
+               const_genome(arch, 3.0), const_genome(arch, 5.0)]
+    (delta,) = modulate(genomes, [(4, ((0.999999, 1, 2),))])  # the best candidate is the base
     # donors are all equal, so delta collapses to the best vector
     assert np.allclose(delta.phases, 5.0)
 
@@ -160,11 +152,11 @@ def test_modulate_tiny_rate_returns_base_exactly():
     current = random_genome(arch, rng)
     donor = random_genome(arch, rng)
     best = random_genome(arch, rng)
-    pop = make_population([current] + [donor] * 4 + [best], fitness=[1.0] * 5 + [0.5])
+    genomes = [current] + [donor] * 4 + [best]
     for strategy in STRATEGIES:
-        base, terms = draw_terms(strategy, 0, pop, pop.best_index, 1e-300, np.random.default_rng(11))
-        (delta,) = modulate(pop, [(base, terms)])
-        assert delta == pop.candidates[base]
+        base, terms = draw_terms(strategy, 0, len(genomes), 5, 1e-300, np.random.default_rng(11))
+        (delta,) = modulate(genomes, [(base, terms)])
+        assert delta == genomes[base]
         if strategy is Strategy.RAND_ONE:
             assert base != 0  # a donor
         else:
@@ -174,44 +166,40 @@ def test_modulate_tiny_rate_returns_base_exactly():
 def test_modulate_cross_architecture_prefix_rule():
     # base has width 2; donors have widths 3 and 1, so every block overlaps
     # on exactly its first entry and the rest copies the base
-    pop = make_population([
+    genomes = [
         const_genome(Architecture(1, (2,)), 0.0),
         const_genome(Architecture(1, (3,)), 1.0),
         const_genome(Architecture(1, (1,)), 3.0),
-    ])
-    (out,) = modulate(pop, [(0, ((0.5, 1, 2),))])
+    ]
+    (out,) = modulate(genomes, [(0, ((0.5, 1, 2),))])
     expected = np.array([-1, 0, -1, 0, -1, 0, -1, 0, -1], dtype=float)
     assert np.array_equal(out.phases, expected)
 
 
 def test_modulate_cross_architecture_keeps_base_structure():
     rng = np.random.default_rng(5)
-    pop = make_population(
-        [
-            random_genome(Architecture(4, (5, 3)), rng),
-            random_genome(Architecture(4, (2,)), rng),
-            random_genome(Architecture(4, (7,)), rng),
-            random_genome(Architecture(4, (3, 3, 2)), rng),
-        ]
-    )
+    genomes = [
+        random_genome(Architecture(4, (5, 3)), rng),
+        random_genome(Architecture(4, (2,)), rng),
+        random_genome(Architecture(4, (7,)), rng),
+        random_genome(Architecture(4, (3, 3, 2)), rng),
+    ]
     for strategy in STRATEGIES:
-        terms = draw_terms(strategy, 0, pop, pop.best_index, 0.5, np.random.default_rng(3))
-        (delta,) = modulate(pop, [terms])
-        assert delta.architecture == pop.candidates[terms[0]].architecture
+        terms = draw_terms(strategy, 0, len(genomes), 0, 0.5, np.random.default_rng(3))
+        (delta,) = modulate(genomes, [terms])
+        assert delta.architecture == genomes[terms[0]].architecture
         assert delta.phases.size == genome_length(delta.architecture)
 
 
 def test_modulate_population_too_small():
     arch = Architecture(1, (1,))
-    pop = make_population([const_genome(arch, v) for v in (0.0, 1.0, 2.0)])
     with pytest.raises(PopulationTooSmallError):
-        draw_terms(Strategy.RAND_ONE, 0, pop, pop.best_index, 0.5, np.random.default_rng(0))
+        draw_terms(Strategy.RAND_ONE, 0, 3, 0, 0.5, np.random.default_rng(0))
 
 
-def _modulate_reference(population, base, terms):
+def _modulate_reference(genomes, base, terms):
     """One candidate's perturbed phases, entry by entry through index maps:
     each block's entries at the same flat offset in the base and every donor."""
-    genomes = population.candidates
     participants = [genomes[base]] + [genomes[j] for _, a, b in terms for j in (a, b)]
     maps = []
     for g in participants:
@@ -252,21 +240,21 @@ def test_modulate_matches_per_candidate_reference(input_width, hidden, strategie
         phases[signed < 0.2] = -0.0
         phases[signed > 0.9] = 0.0
         genomes.append(NetworkGenome(Architecture(input_width, tuple(h)), phases))
-    pop = make_population(genomes, rng.random(len(genomes)))
+    best = int(np.argmin(rng.random(len(genomes))))
     terms = [
-        draw_terms(strategy, i, pop, pop.best_index, rate, rng)
+        draw_terms(strategy, i, len(genomes), best, rate, rng)
         for i, (strategy, rate) in enumerate(zip(strategies, rates[: len(genomes)]))
     ]
     # Phases near 1e308 overflow; both sides then end in a ValueError.
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = [_modulate_reference(pop, base, ts) for base, ts in terms]
+        expected = [_modulate_reference(genomes, base, ts) for base, ts in terms]
         if not all(np.isfinite(e).all() for e in expected):
             with pytest.raises(ValueError, match="finite"):
-                modulate(pop, terms)
+                modulate(genomes, terms)
             return
-        deltas = modulate(pop, terms)
+        deltas = modulate(genomes, terms)
     for delta, (base, _), phases in zip(deltas, terms, expected):
-        assert delta.architecture is pop.candidates[base].architecture
+        assert delta.architecture is genomes[base].architecture
         assert delta.phases.tobytes() == phases.tobytes()  # -0.0 included
         assert np.array_equal(np.signbit(delta.phases), np.signbit(phases))
 
@@ -575,28 +563,29 @@ def rmse_scorer(data):
 
 def test_init_population_size_and_ranges():
     cfg = tiny_config(population_size=12)
-    pop, _ = init_population(cfg, rmse_scorer(tiny_dataset()))
-    assert len(pop.candidates) == 12
-    for g in pop.candidates:
+    run = init_population(cfg, rmse_scorer(tiny_dataset()))
+    assert len(run.candidates) == 12
+    for g in run.candidates:
         assert 1 <= g.architecture.depth <= 2
         assert all(3 <= w <= 5 for w in g.architecture.hidden_widths)
         assert g.phases.size == genome_length(g.architecture)
-    assert pop.best_index == int(np.argmin(pop.fitness))
+    assert run.best_index == int(np.argmin(run.fitness))
+    assert run.next_generation == 1 and run.fitness_trajectory == (run.best_fitness,)
 
 
 def test_init_population_deterministic():
     cfg = tiny_config()
     score = rmse_scorer(tiny_dataset())
-    pop1, _ = init_population(cfg, score)
-    pop2, _ = init_population(cfg, score)
-    assert all(a == b for a, b in zip(pop1.candidates, pop2.candidates))
-    assert np.array_equal(pop1.fitness, pop2.fitness)
+    run1 = init_population(cfg, score)
+    run2 = init_population(cfg, score)
+    assert all(a == b for a, b in zip(run1.candidates, run2.candidates))
+    assert np.array_equal(run1.fitness, run2.fitness)
 
 
 def test_train_trajectory_and_report_shape():
     data = tiny_dataset()
     cfg = tiny_config()
-    best, report = train(cfg, data)
+    report = train(cfg, data)
     assert len(report.fitness_trajectory) == cfg.generations + 1
     assert len(report.probability_trajectory) == cfg.generations
     assert report.best_fitness == report.fitness_trajectory[-1]
@@ -609,9 +598,9 @@ def test_train_trajectory_and_report_shape():
 def test_train_deterministic():
     data = tiny_dataset()
     cfg = tiny_config(seed=9)
-    best1, report1 = train(cfg, data)
-    best2, report2 = train(cfg, data)
-    assert best1 == best2
+    report1 = train(cfg, data)
+    report2 = train(cfg, data)
+    assert report1.best == report2.best
     assert report1.to_dict() == report2.to_dict()
 
 
@@ -628,8 +617,8 @@ def test_architecture_caches_stay_under_their_byte_bound():
     reference = train(config, data)
     network._small_plan.cache_clear()
     network._large_plan.cache_clear()
-    best, run = train(config, data)
-    assert best == reference[0] and run.to_dict() == reference[1].to_dict()
+    run = train(config, data)
+    assert run.best == reference.best and run.to_dict() == reference.to_dict()
     assert network._small_plan.cache_info().currsize > 0 and network._large_plan.cache_info().misses > 1
 
 
@@ -651,7 +640,7 @@ def test_train_scores_a_child_that_is_its_parent_once(monkeypatch):
     monkeypatch.setattr(network, "forward_states", counting_forward)
     monkeypatch.setattr(evolve, "recombine", counting_recombine)
     cfg = tiny_config(hidden_range=(1, 2), generations=6)
-    _, run = train(cfg, tiny_dataset())
+    run = train(cfg, tiny_dataset())
     p, g, k = cfg.population_size, cfg.generations, sum(kept)
     assert len(kept) == p * g and k > 0
     assert len(passes) == p + 2 * p * g - k
@@ -674,7 +663,7 @@ def test_train_calls_variation_through_the_module_attributes(monkeypatch):
 def test_train_zero_generations():
     data = tiny_dataset()
     cfg = tiny_config(generations=0)
-    best, report = train(cfg, data)
+    report = train(cfg, data)
     assert len(report.fitness_trajectory) == 1
     assert report.probability_trajectory == ()
     assert report.next_generation == 1 and report.probabilities == evolve.INITIAL_PROBABILITIES
@@ -684,19 +673,19 @@ def test_train_zero_generations():
 def test_train_fixed_arch_mode_keeps_architectures(tmp_path):
     data = tiny_dataset()
     cfg = tiny_config(mode=TrainingMode.FIXED_ARCH)
-    best, report = train(cfg, data, checkpoint_dir=tmp_path)
+    report = train(cfg, data, checkpoint_dir=tmp_path)
     assert len({tuple(a) for a in report.final_architectures}) == 1
     # true across every generation, not just the last: inspect checkpoints
     for gen in range(1, cfg.generations + 1):
         ckpt = evolve.load_checkpoint(tmp_path / f"checkpoint_gen{gen:04d}.json")
-        archs = {g.architecture for g in ckpt.population.candidates}
+        archs = {g.architecture for g in ckpt.candidates}
         assert len(archs) == 1
 
 
 def test_train_fixed_all_mode_is_initialization_only():
     data = tiny_dataset()
     cfg = tiny_config(mode="fixed-all")
-    best, report = train(cfg, data)
+    report = train(cfg, data)
     assert report.fitness_trajectory[0] == report.fitness_trajectory[-1]
     assert all(v == 0 for v in report.success_totals.values())
     assert report.probability_trajectory == ()
@@ -705,14 +694,13 @@ def test_train_fixed_all_mode_is_initialization_only():
 
 @pytest.fixture(scope="module")
 def five_generations(tmp_path_factory):
-    """A 5-generation run in a mode: its config, best genome, record and checkpoint directory."""
+    """A 5-generation run in a mode: its config, record and checkpoint directory."""
 
     @functools.cache
     def run_in(mode: str = "full"):
         out = tmp_path_factory.mktemp(f"five-generations-{mode}")
         cfg = tiny_config(generations=5, seed=4, mode=mode)
-        best, run = train(cfg, tiny_dataset(), checkpoint_dir=out)
-        return cfg, best, run, out
+        return cfg, train(cfg, tiny_dataset(), checkpoint_dir=out), out
 
     return run_in
 
@@ -728,19 +716,19 @@ def five_generations(tmp_path_factory):
     ],
 )
 def test_train_checkpoint_resume_matches_uninterrupted(five_generations, mode, generation):
-    cfg, best_full, report_full, out = five_generations(mode)
+    cfg, report_full, out = five_generations(mode)
     ckpt = evolve.load_checkpoint(out / f"checkpoint_gen{generation:04d}.json")
-    assert ckpt.next_generation == generation + 1
-    best_resumed, report_resumed = train(cfg, tiny_dataset(), resume=ckpt)
-    assert best_resumed == best_full
+    assert ckpt.next_generation == generation + 1 and ckpt.mode is cfg.mode
+    report_resumed = train(cfg, tiny_dataset(), resume=ckpt)
+    assert report_resumed.best == report_full.best
     assert report_resumed.to_dict() == report_full.to_dict()
 
 
 def test_train_resume_leaves_the_checkpoint_unchanged(five_generations):
-    cfg, _, report_full, out = five_generations()
+    cfg, report_full, out = five_generations()
     ckpt = evolve.load_checkpoint(out / "checkpoint_gen0002.json")
     for _ in range(2):
-        _, report_resumed = train(cfg, tiny_dataset(), resume=ckpt)
+        report_resumed = train(cfg, tiny_dataset(), resume=ckpt)
         assert report_resumed.to_dict() == report_full.to_dict()
 
 
@@ -832,9 +820,27 @@ def test_load_checkpoint_rejects_a_wrong_value(tmp_path, checkpoint_payload, key
         ),
         (lambda p: {**p, "fitness_trajectory": []}, "empty population or fitness trajectory"),
         (lambda p: {**p, "population": []}, "empty population or fitness trajectory"),
+        (
+            lambda p: {**p, "population": [{**e, "fitness": math.inf} for e in p["population"]],
+                       "fitness_trajectory": [math.inf, math.inf]},
+            "got inf",
+        ),
+        (lambda p: {**p, "fitness_trajectory": [math.nan, *p["fitness_trajectory"][1:]]}, "got nan"),
+        (lambda p: {**p, "fitness_trajectory": [-1.0, *p["fitness_trajectory"][1:]]}, "got -1.0"),
+        (lambda p: {**p, "fitness_trajectory": [0.0, *p["fitness_trajectory"][1:]]}, "best fitness rose from 0.0"),
+        (lambda p: {**p, "probability_trajectory": [[2.0, -1.0, 0.0]]}, "in [0, 1.0], got 2.0"),
+        (lambda p: {**p, "degenerate_args": -1}, "got -1"),
+        (lambda p: {**p, "success_totals": {**p["success_totals"], "best-one": -1}}, "got -1"),
+        (lambda p: {**p, "seed": -4}, "got -4"),
+        (
+            lambda p: {**p, "population": [{**e, "fitness": 10**400} for e in p["population"]]},
+            "int too large to convert to float",
+        ),
     ],
     ids=["v1", "probabilities-short", "probabilities-in-fixed-all", "last-fitness-not-best",
-         "empty-trajectory", "empty-population"],
+         "empty-trajectory", "empty-population", "fitness-inf", "trajectory-nan", "trajectory-negative",
+         "trajectory-rises", "probabilities-off-the-wheel", "degenerate-negative", "success-negative",
+         "seed-negative", "fitness-past-float"],
 )
 def test_load_checkpoint_rejects_an_inconsistent_run(tmp_path, checkpoint_payload, edit, match):
     with pytest.raises(CheckpointFormatError, match=re.escape(match)):
