@@ -14,8 +14,9 @@ run's whole state, of which `train` returns the last. Varying is a draw
 pass (`draw_terms`, `draw_crossing`), one array pass building every
 perturbed genome (`modulate`), then `recombine` per candidate. Evaluating is
 one call of `train`'s scorer, which runs `network.forward_grouped` over the
-children not scored yet, by architecture group. A child that is its
-candidate reuses its (fitness, degenerate args).
+children not scored yet, by architecture group; a child that is its
+candidate reuses its score. Selecting is one array pass (`select_survivor`)
+over the candidates' fitness and their children's.
 
 Determinism: every random draw for candidate i in generation g comes from a
 stream seeded by (seed, g, i), so a candidate's step depends on nothing but
@@ -424,48 +425,36 @@ def recombine(
     return _splice(parent1, parent2, level, c1, c2, pads1), _splice(parent2, parent1, level, c2, c1, pads2)
 
 
-def select_survivor(
-    current: tuple[NetworkGenome, float],
-    children: list[tuple[NetworkGenome, float]],
-) -> tuple[NetworkGenome, float, bool]:
-    """Elitist adoption: the best child replaces the parent only if its
-    fitness is less than or equal; ties among children go to the first."""
-    for _, fit in (current, *children):
-        if not math.isfinite(fit):
-            raise ValueError(f"non-finite fitness {fit}")
-    best_child, best_fit = children[0]
-    for genome, fit in children[1:]:
-        if fit < best_fit:
-            best_child, best_fit = genome, fit
-    if best_fit <= current[1]:
-        return best_child, best_fit, True
-    return current[0], current[1], False
+def select_survivor(fitness: np.ndarray, children: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elitist adoption over a generation, from the candidates' fitness (n,)
+    and their children's (n, 2): each candidate's better child, the first on
+    a tie, and whether it replaces the candidate, which it does when its
+    fitness is less than or equal. A non-finite value raises ValueError."""
+    values = np.concatenate((fitness, children.ravel()))
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite fitness {values[~np.isfinite(values)][0]}")
+    pick = np.argmin(children, axis=1)
+    return pick, children[np.arange(len(pick)), pick] <= fitness
 
 
 def _sample_architecture(config: TrainingConfig, rng: np.random.Generator) -> Architecture:
     depth = int(rng.integers(config.depth_range[0], config.depth_range[1] + 1))
-    widths = rng.integers(
-        config.hidden_range[0], config.hidden_range[1] + 1, size=depth
-    )
+    widths = rng.integers(config.hidden_range[0], config.hidden_range[1] + 1, size=depth)
     return Architecture(config.window_size, tuple(int(w) for w in widths))
 
 
 def init_population(config: TrainingConfig, score) -> TrainingRun:
     """Generation 0's record: sampled architectures (one shared architecture
     in the fixed modes), random genomes, scored in one `score` call, which
-    maps a list of genomes to their (fitness, degenerate args), as `train`'s
-    scorer does."""
+    maps a list of genomes to their fitness array and degenerate-argument
+    total, as `train`'s scorer does."""
     shared, p = None, config.population_size
     if config.mode is not TrainingMode.FULL:
         shared = _sample_architecture(config, next(_streams(config.seed, 0, range(p, p + 1))))
-    candidates = []
-    for rng in _streams(config.seed, 0, range(p)):
-        arch = shared if shared is not None else _sample_architecture(config, rng)
-        candidates.append(network.random_genome(arch, rng))
-    results = score(candidates)
-    fitness = np.array([fit for fit, _ in results])
-    return TrainingRun(config.seed, config.mode, candidates, fitness, (float(fitness.min()),),
-                       sum(deg for _, deg in results))
+    candidates = [network.random_genome(shared or _sample_architecture(config, rng), rng)
+                  for rng in _streams(config.seed, 0, range(p))]
+    fitness, degenerate = score(candidates)
+    return TrainingRun(config.seed, config.mode, candidates, fitness, (float(fitness.min()),), degenerate)
 
 
 _CHECKPOINT_SCHEMA = "qevo.checkpoint/2"
@@ -506,7 +495,8 @@ def load_checkpoint(path: str | Path) -> TrainingRun:
     the wrong type, a negative or non-finite number, a probability above 1,
     bad base64, a bad genome, an empty population or fitness trajectory, a
     rising one, a probability trajectory not one entry per varied generation,
-    or a last fitness not the population's best raises CheckpointFormatError."""
+    a probability triple whose sum is not 1 within 4 ulps, or a last fitness
+    not the population's best raises CheckpointFormatError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -538,6 +528,9 @@ def load_checkpoint(path: str | Path) -> TrainingRun:
         if len(run.probability_trajectory) != varied:
             raise ValueError(f"probability trajectory of {len(run.probability_trajectory)} entries "
                              f"after {varied} varied generations")
+        for probs in run.probability_trajectory:
+            if abs(sum(probs) - 1.0) > 4 * np.finfo(float).eps:
+                raise ValueError(f"probabilities {probs} sum to {sum(probs)}, not 1")
         if run.fitness_trajectory[-1] != run.best_fitness:
             raise ValueError(f"last fitness {run.fitness_trajectory[-1]} is not the best {run.best_fitness}")
         convergence_monitor(run.fitness_trajectory)
@@ -575,22 +568,18 @@ def _step(run: TrainingRun, gen: int, score) -> TrainingRun:
     pairs = [recombine(*crossed) for crossed in zip(candidates, modulate(candidates, terms), crossings)]
     del crossings  # and their pads, before the children are scored
     # Evaluate: a child that is its candidate reuses the candidate's score.
-    scored = score([child for pair in pairs for child in pair])
+    scored, degenerate = score([child for pair in pairs for child in pair])
+    scored = scored.reshape(n, 2)
     # Select: elitist adoption and each strategy's successes and failures.
-    survivors, fitness = [], np.empty(n)
-    successes, failures = [0, 0, 0], [0, 0, 0]
-    for i, (strategy, pair) in enumerate(zip(strategies, pairs)):
-        genome, fitness[i], succeeded = select_survivor(
-            (candidates[i], float(run.fitness[i])),
-            [(child, fit) for child, (fit, _) in zip(pair, scored[2 * i : 2 * i + 2])],
-        )
-        survivors.append(genome)
-        (successes if succeeded else failures)[STRATEGIES.index(strategy)] += 1
+    pick, adopted = select_survivor(run.fitness, scored)
+    survivors = [pair[k] if a else c for c, pair, k, a in zip(candidates, pairs, pick.tolist(), adopted.tolist())]
+    picked = np.array([STRATEGIES.index(s) for s in strategies])
+    successes, failures = (np.bincount(picked[m], minlength=3).tolist() for m in (adopted, ~adopted))
     return replace(
-        run, candidates=survivors, fitness=fitness,
+        run, candidates=survivors, fitness=np.where(adopted, scored[np.arange(n), pick], run.fitness),
         probability_trajectory=(*run.probability_trajectory, update_probabilities(successes, failures)),
         success_totals={s.value: run.success_totals[s.value] + k for s, k in zip(STRATEGIES, successes)},
-        degenerate_args=run.degenerate_args + sum(deg for _, deg in scored),
+        degenerate_args=run.degenerate_args + degenerate,
     )
 
 
@@ -606,7 +595,8 @@ def train(
     "training" section.
 
     Fitness is the RMSE of a genome's predictions over `train_data`, whose
-    input states are encoded once and shared by every genome.
+    input states are encoded once and shared by every genome. The scorer
+    returns a genome list's fitness array and degenerate-argument total.
     `checkpoint_dir` (created first, parents included) receives the record
     after every generation as `checkpoint_gen<g>.json`. `resume` (a
     `load_checkpoint` result) continues from that record and reproduces the
@@ -618,13 +608,14 @@ def train(
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
     states, targets = network.input_states(train_data.inputs), train_data.targets
-    known = {}  # id -> (genome, (fitness, degenerate args)), pruned to the population after each select
+    known = {}  # id -> (genome, fitness, degenerate args), pruned to the population after each select
 
-    def score(genomes: list[NetworkGenome]) -> list[tuple[float, int]]:
+    def score(genomes: list[NetworkGenome]) -> tuple[np.ndarray, int]:
         fresh = list({id(g): g for g in genomes if id(g) not in known}.values())
         for i, preds, degenerate in network.forward_grouped(fresh, states):
-            known[id(fresh[i])] = fresh[i], (rmse(targets, preds), degenerate)
-        return [known[id(g)][1] for g in genomes]
+            known[id(fresh[i])] = fresh[i], rmse(targets, preds), degenerate
+        scores = [known[id(g)] for g in genomes]
+        return np.array([fit for _, fit, _ in scores]), sum(deg for _, _, deg in scores)
 
     if resume is None:
         run = init_population(config, score)

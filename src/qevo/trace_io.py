@@ -57,7 +57,8 @@ class TraceFormat:
     """Column mapping for a trace file.
 
     `timestamp_col` / `value_col` are header names when `header` is true,
-    otherwise zero-based column indexes (integers, or digit strings).
+    otherwise zero-based column indexes (integers, or strings of decimal
+    digits after at most one "-"; any other string is a header name).
     `delimiter` is one character; any other raises InputError.
     """
 
@@ -116,7 +117,7 @@ def _resolve_column(mapping: str | int, fieldnames: list[str] | None, what: str)
     """Turn a column name or index into a positional index."""
     if isinstance(mapping, int):
         return mapping
-    if isinstance(mapping, str) and mapping.lstrip("-").isdigit():
+    if isinstance(mapping, str) and mapping.removeprefix("-").isdecimal():
         return int(mapping)
     if fieldnames is None:
         raise InputError(f"{what} column {mapping!r} needs a header row")

@@ -344,6 +344,17 @@ def _bounds(d_min: bytes, d_max: bytes) -> bytes:
          "forecast row {'index': '3', 'split': 'test', 'actual_normalized': '0.5', 'predicted_normalized': '1.1'}"),
         (["plot-data", "--forecast", "{dir}/f.csv"],
          {"f.csv": _bounds(b"-1.7e+308", b"1.7e+308") + b"3,test,0.5,0.0\n4,future,,1.0\n"}, "bad normalizer"),
+        # A column mapping that is not "-"? then decimal digits is a header name.
+        (["train", "--input", "{dir}/t.csv", "--pi-minutes", "1", "--value-col", "²"],
+         {"t.csv": b"timestamp,value\n0,1\n60,2\n"}, "value column '²' not found in header"),
+        (["train", "--input", "{dir}/t.csv", "--pi-minutes", "1", "--no-header", "--timestamp-col", "0",
+          "--value-col", "²"], {"t.csv": b"0,1\n60,2\n"}, "value column '²' needs a header row"),
+        (["train", "--config", "{dir}/run.cfg", "--input", "{dir}/t.csv", "--pi-minutes", "1"],
+         {"run.cfg": b"timestamp_col = --1\n", "t.csv": b"timestamp,value\n0,1\n60,2\n"},
+         "timestamp column '--1' not found in header"),
+        (["train", "--config", "{dir}/run.cfg", "--input", "{dir}/t.csv", "--pi-minutes", "1", "--value-col", "1"],
+         {"run.cfg": b"timestamp_col = --1\nheader = no\n", "t.csv": b"0,1\n60,2\n"},
+         "timestamp column '--1' needs a header row"),
     ],
     ids=[
         "config-not-utf8", "forecast-not-utf8", "report-not-utf8", "config-missing", "config-line-without-equals",
@@ -351,7 +362,8 @@ def _bounds(d_min: bytes, d_max: bytes) -> bytes:
         "predict-pi-minutes-past-float", "train-population-past-phase-bound", "forecast-v1", "forecast-no-schema",
         "forecast-no-d-min", "forecast-d-max-not-a-float", "forecast-d-max-nan", "forecast-d-max-not-above-d-min",
         "forecast-empty-actual-before-the-last-row", "forecast-empty-prediction", "forecast-raw-past-float-range",
-        "forecast-span-past-float-range",
+        "forecast-span-past-float-range", "value-col-superscript-two", "value-col-superscript-two-without-header",
+        "config-timestamp-col-minus-minus-one", "config-timestamp-col-minus-minus-one-without-header",
     ],
 )
 def test_bad_file_or_missing_flag_is_usage_error(tmp_path, capsys, argv, files, message):

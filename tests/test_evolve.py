@@ -489,39 +489,53 @@ def test_recombine_matches_per_child_reference(input_width, hidden, same, seed):
 
 # ------------------------------------------------------- survivor selection
 
-def test_select_survivor_adopts_better_child():
-    arch = Architecture(1, (1,))
-    cur, child = const_genome(arch, 0.0), const_genome(arch, 1.0)
-    genome, fit, ok = select_survivor((cur, 0.2), [(child, 0.1)])
-    assert genome is child and fit == 0.1 and ok
+# Each row is one candidate: its fitness, its two children's, and the child
+# select_survivor picks and whether that child is adopted. The whole table is
+# also selected as one generation.
+SELECTIONS = {
+    "better-child-adopted": (0.2, (0.3, 0.1), 1, True),
+    "tie-with-candidate-adopted": (0.2, (0.2, 0.4), 0, True),
+    "worse-children-keep-candidate": (0.2, (0.3, 0.4), 0, False),
+    "first-of-equal-children": (0.9, (0.5, 0.5), 0, True),
+}
 
 
-def test_select_survivor_tie_adopts_child():
-    arch = Architecture(1, (1,))
-    cur, child = const_genome(arch, 0.0), const_genome(arch, 1.0)
-    genome, _, ok = select_survivor((cur, 0.2), [(child, 0.2)])
-    assert genome is child and ok
+@pytest.mark.parametrize("rows", [[row] for row in SELECTIONS.values()] + [list(SELECTIONS.values())],
+                         ids=[*SELECTIONS, "one-generation"])
+def test_select_survivor(rows):
+    current, children, pick, adopted = (np.array(column) for column in zip(*rows))
+    got_pick, got_adopted = select_survivor(current, children)
+    assert got_pick.tolist() == pick.tolist() and got_adopted.tolist() == adopted.tolist()
 
 
-def test_select_survivor_keeps_better_current():
-    arch = Architecture(1, (1,))
-    cur, child = const_genome(arch, 0.0), const_genome(arch, 1.0)
-    genome, fit, ok = select_survivor((cur, 0.2), [(child, 0.3)])
-    assert genome is cur and fit == 0.2 and not ok
-
-
-def test_select_survivor_first_of_equal_children():
-    arch = Architecture(1, (1,))
-    a, b = const_genome(arch, 1.0), const_genome(arch, 2.0)
-    genome, _, _ = select_survivor((const_genome(arch, 0.0), 0.9), [(a, 0.5), (b, 0.5)])
-    assert genome is a
-
-
-@pytest.mark.parametrize("current_fit, child_fit", [(float("nan"), 0.1), (0.2, float("inf"))])
+@pytest.mark.parametrize("current_fit, child_fit", [(math.nan, 0.1), (0.2, math.inf), (0.2, -math.inf)])
 def test_select_survivor_rejects_a_non_finite_fitness(current_fit, child_fit):
-    arch = Architecture(1, (1,))
+    fitness, children = np.array([0.5, current_fit]), np.array([(0.4, 0.6), (0.3, child_fit)])
     with pytest.raises(ValueError, match="non-finite fitness"):
-        select_survivor((const_genome(arch, 0.0), current_fit), [(const_genome(arch, 1.0), child_fit)])
+        select_survivor(fitness, children)
+
+
+def per_candidate_survivor(current, children):
+    """The rule select_survivor applies to every row at once, one candidate at
+    a time: the best child, the first on a tie, and whether it is adopted."""
+    best, best_fit = 0, children[0]
+    for k, fit in enumerate(children[1:], 1):
+        if fit < best_fit:
+            best, best_fit = k, fit
+    return best, best_fit <= current
+
+
+# A few shared values make ties between children, and with the candidate, common.
+fitness_values = st.one_of(st.sampled_from([0.0, -0.0, 0.125, 0.5]), st.floats(0.0, 2.0))
+
+
+@given(st.lists(st.tuples(fitness_values, fitness_values, fitness_values), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_select_survivor_matches_the_per_candidate_rule(rows):
+    current, children = np.array([r[0] for r in rows]), np.array([r[1:] for r in rows])
+    pick, adopted = select_survivor(current, children)
+    expected = [per_candidate_survivor(c, kids) for c, kids in zip(current.tolist(), children.tolist())]
+    assert list(zip(pick.tolist(), adopted.tolist())) == expected
 
 
 # ------------------------------------------------------- random streams
@@ -555,8 +569,8 @@ def rmse_scorer(data):
     states = network.input_states(data.inputs)
 
     def score(genomes):
-        return [(rmse(data.targets, preds), degenerate)
-                for preds, degenerate in (network.forward_states(g, states) for g in genomes)]
+        results = [network.forward_states(g, states) for g in genomes]
+        return np.array([rmse(data.targets, preds) for preds, _ in results]), sum(d for _, d in results)
 
     return score
 
@@ -648,8 +662,8 @@ def test_train_scores_a_child_that_is_its_parent_once(monkeypatch):
 
 
 def test_train_calls_variation_through_the_module_attributes(monkeypatch):
-    # perfbench's tracer times variation by swapping these attributes.
-    calls = {"modulate": 0, "recombine": 0}
+    # perfbench's tracer times variation and selection by swapping these attributes.
+    calls = {"modulate": 0, "recombine": 0, "select_survivor": 0}
     for name in calls:
         def counted(*args, _fn=getattr(evolve, name), _name=name):
             calls[_name] += 1
@@ -657,7 +671,8 @@ def test_train_calls_variation_through_the_module_attributes(monkeypatch):
         monkeypatch.setattr(evolve, name, counted)
     cfg = tiny_config()
     train(cfg, tiny_dataset())
-    assert calls == {"modulate": cfg.generations, "recombine": cfg.population_size * cfg.generations}
+    assert calls == {"modulate": cfg.generations, "recombine": cfg.population_size * cfg.generations,
+                     "select_survivor": cfg.generations}
 
 
 def test_train_zero_generations():
@@ -829,6 +844,7 @@ def test_load_checkpoint_rejects_a_wrong_value(tmp_path, checkpoint_payload, key
         (lambda p: {**p, "fitness_trajectory": [-1.0, *p["fitness_trajectory"][1:]]}, "got -1.0"),
         (lambda p: {**p, "fitness_trajectory": [0.0, *p["fitness_trajectory"][1:]]}, "best fitness rose from 0.0"),
         (lambda p: {**p, "probability_trajectory": [[2.0, -1.0, 0.0]]}, "in [0, 1.0], got 2.0"),
+        (lambda p: {**p, "probability_trajectory": [[0.6, 0.6, 0.6]]}, "probabilities (0.6, 0.6, 0.6) sum to"),
         (lambda p: {**p, "degenerate_args": -1}, "got -1"),
         (lambda p: {**p, "success_totals": {**p["success_totals"], "best-one": -1}}, "got -1"),
         (lambda p: {**p, "seed": -4}, "got -4"),
@@ -839,7 +855,7 @@ def test_load_checkpoint_rejects_a_wrong_value(tmp_path, checkpoint_payload, key
     ],
     ids=["v1", "probabilities-short", "probabilities-in-fixed-all", "last-fitness-not-best",
          "empty-trajectory", "empty-population", "fitness-inf", "trajectory-nan", "trajectory-negative",
-         "trajectory-rises", "probabilities-off-the-wheel", "degenerate-negative", "success-negative",
+         "trajectory-rises", "probabilities-off-the-wheel", "probabilities-off-the-simplex", "degenerate-negative", "success-negative",
          "seed-negative", "fitness-past-float"],
 )
 def test_load_checkpoint_rejects_an_inconsistent_run(tmp_path, checkpoint_payload, edit, match):

@@ -96,6 +96,24 @@ def test_parse_unknown_column(tmp_path):
         parse_trace(path, TraceFormat(timestamp_col="missing", value_col="v"))
 
 
+# A string is a column index only as decimal digits after at most one "-";
+# each of these is a header name.
+@pytest.mark.parametrize("mapping", ["--1", "²", "-²", "①"], ids=["minus-minus-one", "superscript-two",
+                                                                 "minus-superscript-two", "circled-one"])
+@pytest.mark.parametrize("header", ["lists-it", "lacks-it", "none"])
+def test_parse_a_mapping_that_is_no_index_is_a_header_name(tmp_path, mapping, header):
+    path = tmp_path / "t.csv"
+    rows = "0,2\n300,4\n"
+    path.write_text({"lists-it": f"t,{mapping}\n", "lacks-it": "t,v\n", "none": ""}[header] + rows)
+    fmt = TraceFormat(timestamp_col="t" if header != "none" else 0, value_col=mapping, header=header != "none")
+    if header == "lists-it":
+        assert parse_trace(path, fmt).samples.tolist() == [[0.0, 2.0], [300.0, 4.0]]
+        return
+    match = "not found in header" if header == "lacks-it" else "needs a header row"
+    with pytest.raises(InputError, match=f"value column {re.escape(repr(mapping))} {match}"):
+        parse_trace(path, fmt)
+
+
 def test_parse_negative_value_rejected(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("t,v\n0,-2\n60,4\n")
